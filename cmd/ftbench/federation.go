@@ -161,13 +161,11 @@ func fedPoints(cfg fedBenchConfig) ([]federation.Config, []fedResult, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				fc := fabric.Config{
+				rc.Planes = append(rc.Planes, federation.PlaneConfig{Fabric: fabric.Config{
 					Tree: tree, SchedulerSpec: cfg.Scheduler,
 					BatchSize: cfg.Batch, MaxWait: cfg.MaxWait,
 					AdmitTimeout: cfg.Timeout,
-				}
-				cfg.Pipeline.apply(&fc)
-				rc.Planes = append(rc.Planes, federation.PlaneConfig{Fabric: fc})
+				}})
 			}
 			cfgs = append(cfgs, rc)
 			seeds = append(seeds, fedResult{Planes: n, Policy: pol.String()})

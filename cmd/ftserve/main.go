@@ -17,8 +17,13 @@
 // selection policy (hash | round-robin | random | least-loaded).
 // -validate checks the configuration and exits without serving.
 // -scheduler names the admission engine in internal/sched's registry
-// grammar ("family,key=value,flag"). -pprof mounts the net/http/pprof
-// profiling handlers under /debug/pprof/.
+// grammar ("family,key=value,flag"); it is the only engine switch
+// ("parallel,mode=shard,workers=8" runs the parallel engine,
+// "level-wise,rollback,incremental" delta epochs). -pprof mounts the
+// net/http/pprof profiling handlers under /debug/pprof/.
+//
+// Every POST body is capped at maxBodyBytes (larger bodies get 413), and
+// the server bounds header reads and idle keep-alive connections.
 //
 // Endpoints (JSON over stdlib net/http):
 //
@@ -71,6 +76,16 @@ import (
 	"repro/internal/topology"
 )
 
+// Server limits. Bodies are tiny JSON objects, so 1 MiB leaves room for
+// any realistic fault set while bounding what a client can make the
+// decoder buffer. Keep-alive clients pause for milliseconds between
+// requests; two idle minutes means a client has gone.
+const (
+	maxBodyBytes      = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	planes := flag.Int("planes", 1, "number of identical planes built from the shape flags")
@@ -96,14 +111,10 @@ func main() {
 	flag.Float64Var(&gray.failoverBudgetRate, "failover-budget", 0, "failover tokens per second (0 = unlimited)")
 	flag.IntVar(&gray.failoverBudgetBurst, "failover-budget-burst", 0, "failover token burst (0 = derived)")
 	grayStep := flag.Duration("gray-step", defaultGrayStep, "flaky fault process clock period")
-	var pipe pipelineFlags
-	flag.IntVar(&pipe.deliveryPipeline, "delivery-pipeline", 0, "verdict-delivery worker spare buffers (0 = default on, negative = synchronous delivery)")
-	flag.BoolVar(&pipe.drainWorker, "drain-worker", false, "dedicate a goroutine to release-ring retirement")
-	flag.BoolVar(&pipe.statsSnapshots, "stats-snapshots", false, "serve fabric Stats from the lock-free seqlock snapshot")
 	flag.Parse()
 
 	cfg, err := buildConfig(*configPath, *planes, *policy, *levels, *children, *parents,
-		*batch, *maxWait, *queue, *timeout, *schedSpec, gray, pipe)
+		*batch, *maxWait, *queue, *timeout, *schedSpec, gray)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftserve: %v\n", err)
 		os.Exit(1)
@@ -126,7 +137,12 @@ func main() {
 	sv.enablePprof = *pprofFlag
 	sv.gray.step = *grayStep
 	defer sv.stopGray()
-	srv := &http.Server{Addr: *addr, Handler: sv.routes()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           sv.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -163,20 +179,12 @@ type grayFlags struct {
 	failoverBudgetBurst int
 }
 
-// pipelineFlags bundles the admission-pipeline knobs of the shape-flag
-// path (a -config file carries its own per-plane values instead).
-type pipelineFlags struct {
-	deliveryPipeline int
-	drainWorker      bool
-	statsSnapshots   bool
-}
-
 // buildConfig resolves the federation config: a `fttopo gen` file when
 // -config is given, otherwise -planes identical planes from the shape
 // flags.
 func buildConfig(configPath string, planes int, policy string, levels, children, parents,
 	batch int, maxWait time.Duration, queue int, timeout time.Duration, schedSpec string,
-	gray grayFlags, pipe pipelineFlags) (federation.Config, error) {
+	gray grayFlags) (federation.Config, error) {
 	if configPath != "" {
 		fc, err := federation.LoadFile(configPath)
 		if err != nil {
@@ -219,9 +227,6 @@ func buildConfig(configPath string, planes int, policy string, levels, children,
 					Rate:  gray.repairBudgetRate,
 					Burst: gray.repairBudgetBurst,
 				},
-				DeliveryPipeline: pipe.deliveryPipeline,
-				DrainWorker:      pipe.drainWorker,
-				StatsSnapshots:   pipe.statsSnapshots,
 			},
 		})
 	}
@@ -290,8 +295,7 @@ type errorResponse struct {
 
 func (s *server) handleConnect(w http.ResponseWriter, r *http.Request) {
 	var req connectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	h, err := s.router.Connect(r.Context(), req.Src, req.Dst)
@@ -335,8 +339,7 @@ type releaseResponse struct {
 
 func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -410,8 +413,7 @@ func (s *server) targetPlane(name string) (string, fabric.Surface, error) {
 
 func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req faultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	name, surf, err := s.targetPlane(req.Plane)
@@ -573,6 +575,23 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeBody decodes a POST body into v through a maxBodyBytes limit,
+// answering 413 for an oversize body and 400 for a malformed one; it
+// reports whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

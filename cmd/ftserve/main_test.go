@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,6 +167,36 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /connect status %d", resp.StatusCode)
+	}
+}
+
+// TestBodyLimits: an oversize POST body gets 413 and a truncated JSON
+// body 400 on every POST endpoint — bad input never yields a 5xx — and
+// the server keeps serving afterwards.
+func TestBodyLimits(t *testing.T) {
+	ts, _ := newTestServer(t, 1, 2, 4, 1)
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A well-formed object whose one string field runs past the limit:
+	// the decoder must read beyond maxBodyBytes to finish it.
+	oversize := []byte(`{"src":0,"dst":1,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`)
+	for _, path := range []string{"/connect", "/release", "/fault"} {
+		if code := post(path, oversize); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %s body: status %d, want 413", path, code)
+		}
+		if code := post(path, []byte(`{"src":0,"dst":`)); code != http.StatusBadRequest {
+			t.Errorf("truncated %s body: status %d, want 400", path, code)
+		}
+	}
+	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 0, Dst: 5}, nil); code != http.StatusOK {
+		t.Errorf("connect after bad bodies: status %d", code)
 	}
 }
 
@@ -340,17 +371,16 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-// TestStatsReportsEngine drives a parallel-enabled plane through the
-// HTTP layer and checks the engine choice surfaces in the per-plane
-// fabric breakdown of GET /stats.
+// TestStatsReportsEngine drives a plane whose spec string selects the
+// parallel engine through the HTTP layer and checks the engine choice
+// surfaces in the per-plane fabric breakdown of GET /stats.
 func TestStatsReportsEngine(t *testing.T) {
 	cfg := federation.Config{Planes: []federation.PlaneConfig{{
 		Fabric: fabric.Config{
-			Tree:              topology.MustNew(3, 4, 4),
-			BatchSize:         1,
-			ParallelThreshold: 1,
-			ParallelWorkers:   2,
-			ParallelRacy:      true,
+			Tree:          topology.MustNew(3, 4, 4),
+			SchedulerSpec: "parallel,mode=racy,workers=2",
+			BatchSize:     2,
+			MaxWait:       time.Hour,
 		},
 	}}}
 	router, err := federation.New(cfg)
@@ -363,8 +393,17 @@ func TestStatsReportsEngine(t *testing.T) {
 		router.Close(context.Background())
 	})
 
-	if code := postJSON(t, ts.URL+"/connect", connectRequest{Src: 0, Dst: 63}, nil); code != http.StatusOK {
-		t.Fatalf("connect status %d", code)
+	// Two concurrent connects fill one epoch of two, which the racy
+	// engine schedules on both workers (a lone request would run its
+	// sequential core).
+	codes := make(chan int, 2)
+	for _, req := range []connectRequest{{Src: 0, Dst: 63}, {Src: 1, Dst: 62}} {
+		go func(req connectRequest) { codes <- postJSON0(ts.URL+"/connect", req, nil) }(req)
+	}
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("connect status %d", code)
+		}
 	}
 	var raw map[string]any
 	getJSON(t, ts.URL+"/stats", &raw)
@@ -373,14 +412,8 @@ func TestStatsReportsEngine(t *testing.T) {
 		t.Fatalf("stats planes = %v", raw["planes"])
 	}
 	fb, _ := planes[0].(map[string]any)["fabric"].(map[string]any)
-	if fb["parallel_mode"] != "racy" {
-		t.Errorf("parallel_mode = %v", fb["parallel_mode"])
-	}
-	if fb["parallel_threshold"] != float64(1) || fb["parallel_workers"] != float64(2) {
-		t.Errorf("parallel config echo: threshold=%v workers=%v", fb["parallel_threshold"], fb["parallel_workers"])
-	}
-	if pe, _ := fb["parallel_epochs"].(float64); pe < 1 {
-		t.Errorf("parallel_epochs = %v, want >= 1", fb["parallel_epochs"])
+	if fb["last_epoch_engine"] != "parallel-level-wise/racy/w2" {
+		t.Errorf("last_epoch_engine = %v", fb["last_epoch_engine"])
 	}
 }
 
@@ -573,7 +606,7 @@ func TestFaultEndpointValidation(t *testing.T) {
 // TestBuildConfig pins the flag-vs-file resolution buildConfig performs
 // for main.
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig("", 3, "least-loaded", 2, 4, 2, 8, time.Millisecond, 64, 0, "level-wise,rollback", grayFlags{}, pipelineFlags{})
+	cfg, err := buildConfig("", 3, "least-loaded", 2, 4, 2, 8, time.Millisecond, 64, 0, "level-wise,rollback", grayFlags{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,13 +619,13 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.Planes[2].Fabric.BatchSize != 8 || cfg.Planes[2].Fabric.MaxWait != time.Millisecond {
 		t.Errorf("plane knobs %+v", cfg.Planes[2].Fabric)
 	}
-	if _, err := buildConfig("", 0, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("", 0, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("0 planes accepted")
 	}
-	if _, err := buildConfig("", 1, "fastest", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("", 1, "fastest", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("bad policy accepted")
 	}
-	if _, err := buildConfig("/does/not/exist.json", 1, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}, pipelineFlags{}); err == nil {
+	if _, err := buildConfig("/does/not/exist.json", 1, "hash", 2, 2, 2, 1, 0, 0, 0, "", grayFlags{}); err == nil {
 		t.Error("missing config file accepted")
 	}
 }

@@ -13,7 +13,6 @@
 //	           [-repair-budget 256] [-repair-budget-burst 1024]
 //	           [-health-alpha 0.2] [-open-below 0.15] [-latency-budget 2ms]
 //	           [-failover-budget 100] [-failover-budget-burst 200]
-//	           [-delivery-pipeline 1] [-drain-worker] [-stats-snapshots]
 package main
 
 import (
@@ -68,9 +67,6 @@ func runGen(args []string) error {
 	latencyBudget := fs.Duration("latency-budget", 0, "grant latency above this counts as degraded (0 = off)")
 	failoverBudget := fs.Float64("failover-budget", 0, "failover tokens/sec across the federation (0 = unlimited)")
 	failoverBurst := fs.Int("failover-budget-burst", 0, "failover token burst (0 = rate ceiling)")
-	deliveryPipeline := fs.Int("delivery-pipeline", 0, "per-plane verdict-delivery spare buffers (0 = default on, negative = synchronous)")
-	drainWorker := fs.Bool("drain-worker", false, "per-plane dedicated release-ring drain goroutine")
-	statsSnapshots := fs.Bool("stats-snapshots", false, "per-plane lock-free seqlock Stats snapshots")
 	out := fs.String("out", "", "write the config to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,9 +92,6 @@ func runGen(args []string) error {
 		}
 		fc.Planes[i].RepairBudgetRate = *repairBudget
 		fc.Planes[i].RepairBudgetBurst = *repairBurst
-		fc.Planes[i].DeliveryPipeline = *deliveryPipeline
-		fc.Planes[i].DrainWorker = *drainWorker
-		fc.Planes[i].StatsSnapshots = *statsSnapshots
 	}
 	if err := fc.Validate(); err != nil {
 		return err

@@ -12,19 +12,20 @@
 // concurrency-safe) linkstate.State is only ever mutated under the
 // manager's lock.
 //
-// Large epochs can optionally be scheduled by the parallel Level-wise
-// engine (internal/parsched): Config.ParallelThreshold routes any epoch
-// with at least that many live requests through worker goroutines that
-// claim channels with the lock-free atomic linkstate operations, while
-// smaller epochs keep the zero-allocation sequential path. Grant and
-// reject notifications are staged under the lock and delivered after it
-// is released, so client wakeups never extend the critical section.
+// The admission engine is named by Config.SchedulerSpec in
+// internal/sched's registry grammar, and that string is the only way to
+// pick one: "parallel,mode=…,workers=…" runs every epoch on the parallel
+// Level-wise engine (internal/parsched), and
+// "level-wise,rollback,incremental[,reuse-cost=K]" switches the manager
+// to delta epochs. Grant and reject notifications are staged under the
+// lock and delivered after it is released, so client wakeups never
+// extend the critical section.
 //
 // The client hot paths are decoupled from the scheduling lock: Connect
 // enqueues under a queue-only lock that no epoch ever holds, and
-// Release parks the handle in a lock-free MPSC ring (Config.ReleaseRing)
-// that the flusher drains at each epoch boundary, so both are a few
-// atomic operations regardless of how long a scheduling pass runs.
+// Release parks the handle in a lock-free MPSC ring that the next epoch
+// drains, so both are a few atomic operations regardless of how long a
+// scheduling pass runs.
 //
 // Robustness: the admission queue is bounded (Config.QueueLimit) and
 // exerts backpressure by blocking Connect until a slot frees; a queued
@@ -52,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/linkstate"
-	"repro/internal/parsched"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -64,8 +64,12 @@ const (
 	DefaultQueueLimit    = 1024
 	DefaultRepairRetries = 8
 	DefaultRepairBackoff = 2 * time.Millisecond
-	DefaultReleaseRing   = 1024
 )
+
+// releaseRingSize is the capacity of the lock-free release ring. A full
+// ring is backpressure-free: the overflowing Release takes the
+// synchronous path under the manager lock.
+const releaseRingSize = 1024
 
 // Sentinel errors returned by Connect and Release. Scheduler denials are
 // *UnroutableError values that match ErrUnroutable under errors.Is.
@@ -111,7 +115,12 @@ type Config struct {
 	// SchedulerSpec names the admission engine in internal/sched's
 	// registry grammar (e.g. "level-wise,rollback", "backtrack,depth=2",
 	// "parallel,mode=racy,workers=8"). Empty means the default
-	// "level-wise,rollback". Mutually exclusive with Scheduler.
+	// "level-wise,rollback". A level-wise spec carrying the incremental
+	// flag ("level-wise,rollback,incremental[,reuse-cost=K]") runs delta
+	// epochs: granted routes stay allocated across epochs and each pass
+	// admits only the arrival delta, with releases, revocations, and
+	// repairs flowing through the same departure path. Mutually
+	// exclusive with Scheduler.
 	SchedulerSpec string
 	// Scheduler admits each epoch against the live link state, for
 	// callers that composed one programmatically; most should name an
@@ -140,28 +149,6 @@ type Config struct {
 	// Ports slice aliases live storage (for grants, the scheduler's reused
 	// ports arena) — treat it as read-only and copy it before retaining.
 	Trace func(Event)
-	// ParallelThreshold routes epochs of at least this many live requests
-	// through the parallel Level-wise engine (internal/parsched); smaller
-	// epochs keep the zero-allocation sequential path, whose fixed cost is
-	// lower. 0 disables parallel scheduling entirely. Requires the default
-	// scheduler (Config.Scheduler nil or a *core.LevelWise).
-	ParallelThreshold int
-	// ParallelWorkers sizes the parallel engine (default GOMAXPROCS).
-	ParallelWorkers int
-	// ParallelRacy selects the lock-free CAS engine mode: highest
-	// throughput, but the grant set of an epoch may differ run to run
-	// (always conflict-free). The default deterministic mode returns
-	// bit-identical results to sequential scheduling.
-	ParallelRacy bool
-	// ParallelMode names the parallel arbitration mode directly:
-	// "deterministic", "racy", or "shard" (subtree-sharded, zero
-	// coordination between shards). Empty defers to ParallelRacy, which
-	// remains as the boolean shorthand for "racy"; setting both to
-	// conflicting values is an error.
-	ParallelMode string
-	// ParallelSteal enables work stealing across shard queues
-	// (ParallelMode "shard" only).
-	ParallelSteal bool
 	// RepairRetries bounds how many scheduling attempts a revoked
 	// connection gets before the repair is abandoned with
 	// ErrUnroutableDegraded (default DefaultRepairRetries).
@@ -180,56 +167,6 @@ type Config struct {
 	// verdict. Federation uses this hook to re-admit the dead circuit on
 	// a surviving plane.
 	OnConnTerminal func(c Conn, cause error)
-	// Incremental switches the manager to delta epochs: granted routes
-	// stay allocated in the link state across epochs and each scheduling
-	// pass admits only the arrival delta, with releases, revocations, and
-	// repairs flowing through the same departure path
-	// (sched.Incremental.ScheduleDeltaInto). Requires an admission engine
-	// with the delta-epoch capability — the default engine qualifies, as
-	// does any SchedulerSpec sched.AsIncremental accepts. A SchedulerSpec
-	// carrying the "incremental" flag enables this mode by itself.
-	Incremental bool
-	// ReuseCost, when positive, scores candidate up-ports by their
-	// overlap with already-held circuits at the parent switches, capped
-	// at this value (core.Options.ReuseCost): admission prefers routes
-	// that disturb the least standing configuration. Requires Incremental
-	// and the default engine; put reuse-cost in the SchedulerSpec when
-	// naming an engine explicitly.
-	ReuseCost int
-	// ReleaseRing sizes the lock-free release ring (rounded up to a
-	// power of two). The Release fast path parks the handle there — two
-	// atomic loads and one CAS, never the manager lock — and the flusher
-	// retires it at the next epoch boundary, where the freed channels
-	// are visible to the next scheduling pass. 0 means
-	// DefaultReleaseRing; a negative value disables the ring, making
-	// every Release synchronous under the manager lock. A full ring is
-	// backpressure-free: the overflowing Release just takes the
-	// synchronous path.
-	ReleaseRing int
-	// DeliveryPipeline controls the dedicated delivery worker that sends
-	// epoch verdicts to their waiting Connect calls while the flusher
-	// moves straight on to the next epoch. 0 (the default) enables the
-	// worker with one spare staging buffer (double buffering); a positive
-	// value provisions that many spare buffers; a negative value disables
-	// the worker, making verdict delivery synchronous on the flusher
-	// goroutine (the pre-pipeline behavior). Either way a ticket's
-	// verdict is sent exactly once.
-	DeliveryPipeline int
-	// DrainWorker, when true, starts a dedicated goroutine that
-	// continuously retires release-ring entries into a pre-drained
-	// buffer, so the flusher's epoch-boundary drain becomes a buffer
-	// swap instead of an O(ring) walk under the scheduling lock.
-	// Requires the release ring (error when ReleaseRing is negative).
-	DrainWorker bool
-	// StatsSnapshots, when true, serves Stats from an epoch-versioned
-	// lock-free snapshot (seqlock) the flusher republishes after every
-	// epoch, so monitoring never takes the scheduling lock and never
-	// stalls a scheduling pass. A snapshot read does not force a settle:
-	// parked releases and staged departures are reflected no later than
-	// the next epoch (the read nudges the flusher). Default off: the
-	// locked Stats path settles the fabric before reading, a
-	// read-your-writes view some callers depend on.
-	StatsSnapshots bool
 	// RepairBudget globally rate-limits repair retries with a token
 	// bucket (see gray.go): every re-enqueue after a denied repair
 	// attempt draws one token, and an empty bucket defers the retry
@@ -341,11 +278,10 @@ type delivery struct {
 	r result
 }
 
-// delbatch carries one epoch's staged verdicts from the goroutine that
-// ran the epoch to whoever delivers them (the delivery worker, or the
-// epoch runner itself). Batches come from Manager.delPool and return
-// there once delivered, so epochs and deliveries can overlap without
-// sharing a buffer.
+// delbatch carries one epoch's staged verdicts out of the lock to the
+// goroutine that ran the epoch. Batches come from Manager.delPool and
+// return there once delivered, so one goroutine's delivery can overlap
+// the next epoch without sharing a buffer.
 type delbatch struct {
 	d []delivery
 }
@@ -420,20 +356,13 @@ func (h *Handle) Release() error { return h.m.Release(h) }
 type Manager struct {
 	cfg Config
 	eng sched.Engine
-	// par, when non-nil, handles epochs of >= parThreshold live requests;
-	// smaller epochs take the zero-allocation sequential path through
-	// scratch. Both are used only by the flusher, under mu.
-	par          *parsched.Engine
-	parThreshold int
-	scratch      *core.Scratch
-	// inc, when non-nil, puts the manager in incremental (delta-epoch)
-	// mode: granted routes stay allocated across epochs, releases stage
-	// departures in depbuf, and each flush calls ScheduleDeltaInto.
-	// parInc is the parallel engine's delta entry point (it serves delta
-	// epochs through its sequential core, with the fallback documented in
-	// Result.Scheduler). reuseCost echoes the effective reuse-cost cap.
+	// scratch holds the scheduler's reusable working buffers (used only
+	// under mu). inc, when non-nil, puts the manager in incremental
+	// (delta-epoch) mode: granted routes stay allocated across epochs,
+	// releases stage departures in depbuf, and each flush calls
+	// ScheduleDeltaInto. reuseCost echoes the engine's reuse-cost cap.
+	scratch   *core.Scratch
 	inc       sched.Incremental
-	parInc    sched.Incremental
 	reuseCost int
 
 	// freeSlots is the queue-slot semaphore (backpressure), kept as an
@@ -460,38 +389,8 @@ type Manager struct {
 	// collector.
 	ticketPool sync.Pool
 
-	// Delivery pipeline (Config.DeliveryPipeline >= 0): whoever runs an
-	// epoch — the flusher, or a connecting goroutine on the inline-flush
-	// fast path — hands the staged verdicts to the delivery worker over
-	// delivCh and moves straight on. Both channels are nil when the
-	// pipeline is disabled. Each epoch's verdicts travel in a *delbatch
-	// owned by exactly one deliverer until it lands back in delPool, so
-	// an epoch can stage into a fresh batch while the previous one is
-	// still being delivered.
-	delivCh   chan *delbatch
-	delivDone chan struct{}
-	delPool   sync.Pool
-
-	// Dedicated drain core (Config.DrainWorker): drmu replaces mu as the
-	// release-ring consumer lock, the worker pops ring entries into
-	// predrained between epochs, and drainReleasesLocked swaps the buffer
-	// out instead of walking the ring under the scheduling lock.
-	// drainSpare ping-pongs with predrained's backing array; drainKick is
-	// the worker's coalescing wakeup. Lock order: mu before drmu; the
-	// worker takes only drmu.
-	drainOn    bool
-	drmu       sync.Mutex
-	predrained []*Handle // guarded by drmu
-	drainSpare []*Handle // guarded by mu
-	drainKick  chan struct{}
-	drainDone  chan struct{}
-
-	// snap is the lock-free Stats snapshot (Config.StatsSnapshots):
-	// sequence-versioned atomics mu holders republish via
-	// publishStatsLocked; readers retry on a version mismatch and never
-	// take mu. See snapshot.go.
-	statsOn bool
-	snap    statsSnap
+	// delPool recycles the staged-verdict batches (see delbatch).
+	delPool sync.Pool
 
 	// mu is the scheduling lock: it guards st, lastEngine, conns, failed,
 	// the mutable handle fields, and serializes the release-ring consumer
@@ -525,8 +424,7 @@ type Manager struct {
 	qdepth  atomic.Int64 // len(pending); written under qmu, read lock-free
 
 	// relRing parks fast-path releases until a mu holder drains them
-	// (epoch flush, Stats, Fail, or a synchronous Release). Nil when
-	// Config.ReleaseRing is negative.
+	// (epoch flush, Stats, Fail, or a synchronous Release).
 	relRing *releaseRing
 
 	// depbuf stages departures in incremental mode (guarded by mu): a
@@ -552,7 +450,6 @@ type Manager struct {
 	offered, granted, rejected, cancelled atomic.Uint64
 	released, overflow, epochs            atomic.Uint64
 	drainRefused                          atomic.Uint64
-	seqEpochs, parEpochs                  atomic.Uint64
 	active                                atomic.Int64
 
 	// Repair-loop counters: every revocation ends in exactly one of
@@ -593,8 +490,15 @@ type Manager struct {
 }
 
 // New validates the config, applies defaults, and starts the manager's
-// flusher goroutine. Stop it with Close.
+// flusher goroutine — the only goroutine a Manager owns. Stop it with
+// Close.
 func New(cfg Config) (*Manager, error) {
+	return newManager(cfg, releaseRingSize)
+}
+
+// newManager is New with the release ring's capacity as a parameter, so
+// tests can exercise the full-ring fallback on a tiny ring.
+func newManager(cfg Config, ringSize int) (*Manager, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("fabric: nil tree")
 	}
@@ -615,9 +519,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.RepairBackoff <= 0 {
 		cfg.RepairBackoff = DefaultRepairBackoff
-	}
-	if cfg.ReuseCost < 0 {
-		return nil, fmt.Errorf("fabric: invalid ReuseCost %d (must be >= 0)", cfg.ReuseCost)
 	}
 	if cfg.FlapThreshold < 0 {
 		return nil, fmt.Errorf("fabric: negative FlapThreshold %v", cfg.FlapThreshold)
@@ -649,12 +550,6 @@ func New(cfg Config) (*Manager, error) {
 	case cfg.RepairBudget.Burst == 0:
 		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
-	if cfg.ReuseCost > 0 && !cfg.Incremental {
-		return nil, errors.New("fabric: ReuseCost requires Incremental (reuse scores held routes, which only persist across delta epochs)")
-	}
-	if cfg.ReuseCost > 0 && (cfg.SchedulerSpec != "" || cfg.Scheduler != nil) {
-		return nil, errors.New("fabric: ReuseCost applies to the default engine only; put reuse-cost in the SchedulerSpec instead")
-	}
 	var eng sched.Engine
 	switch {
 	case cfg.SchedulerSpec != "" && cfg.Scheduler != nil:
@@ -667,117 +562,36 @@ func New(cfg Config) (*Manager, error) {
 	case cfg.Scheduler != nil:
 		eng = sched.Wrap(cfg.Scheduler)
 	default:
-		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{
-			Rollback: true, Incremental: cfg.Incremental, ReuseCost: cfg.ReuseCost}})
-	}
-	// Delta-epoch mode: explicitly requested, or implied by a spec that
-	// carries the incremental flag. Either way the engine must actually
-	// have the capability.
-	incremental := cfg.Incremental
-	reuseCost := cfg.ReuseCost
-	if lw, ok := eng.Unwrap().(*core.LevelWise); ok {
-		if lw.Opts.Incremental {
-			incremental = true
-		}
-		if lw.Opts.ReuseCost > reuseCost {
-			reuseCost = lw.Opts.ReuseCost
-		}
-	}
-	var inc sched.Incremental
-	if incremental {
-		var ok bool
-		if inc, ok = sched.AsIncremental(eng); !ok {
-			return nil, fmt.Errorf("fabric: Incremental requires an engine with the delta-epoch capability (%s has none)", eng.Name())
-		}
-	}
-	var par *parsched.Engine
-	if cfg.ParallelThreshold > 0 {
-		lw, ok := eng.Unwrap().(*core.LevelWise)
-		if !ok {
-			return nil, errors.New("fabric: ParallelThreshold requires a level-wise admission engine")
-		}
-		mode := parsched.Deterministic
-		switch cfg.ParallelMode {
-		case "":
-			if cfg.ParallelRacy {
-				mode = parsched.Racy
-			}
-		case "deterministic":
-		case "racy":
-			mode = parsched.Racy
-		case "shard":
-			mode = parsched.Shard
-		default:
-			return nil, fmt.Errorf("fabric: unknown ParallelMode %q (deterministic, racy or shard)", cfg.ParallelMode)
-		}
-		if cfg.ParallelRacy && mode != parsched.Racy {
-			return nil, fmt.Errorf("fabric: ParallelRacy conflicts with ParallelMode %q", cfg.ParallelMode)
-		}
-		if cfg.ParallelSteal && mode != parsched.Shard {
-			return nil, errors.New(`fabric: ParallelSteal requires ParallelMode "shard"`)
-		}
-		par = parsched.New(parsched.Config{Workers: cfg.ParallelWorkers, Mode: mode,
-			Steal: cfg.ParallelSteal, Opts: lw.Opts})
-	}
-	if cfg.DrainWorker && cfg.ReleaseRing < 0 {
-		return nil, errors.New("fabric: DrainWorker requires the release ring (ReleaseRing >= 0)")
+		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
 	}
 	m := &Manager{
-		cfg:          cfg,
-		eng:          eng,
-		par:          par,
-		parThreshold: cfg.ParallelThreshold,
-		scratch:      core.NewScratch(),
-		inc:          inc,
-		reuseCost:    reuseCost,
-		slotsCh:      make(chan struct{}, 1),
-		kick:         make(chan struct{}, 1),
-		closing:      make(chan struct{}),
-		done:         make(chan struct{}),
-		st:           newTrackedState(cfg.Tree),
-		conns:        make(map[*Handle]struct{}),
-		failed:       make(map[faults.Channel]struct{}),
-		flap:         make(map[faults.Channel]*flapScore),
-		quar:         make(map[faults.Channel]time.Time),
-		budget:       newBucket(cfg.RepairBudget, time.Now()),
-		epochSize:    newShardedRing(4096),
-		epochLat:     newShardedRing(4096),
-		repairLat:    newShardedRing(4096),
-		repairDepth:  newShardedRing(4096),
-		routeChurn:   newShardedRing(4096),
-		statsOn:      cfg.StatsSnapshots,
+		cfg:         cfg,
+		eng:         eng,
+		scratch:     core.NewScratch(),
+		slotsCh:     make(chan struct{}, 1),
+		kick:        make(chan struct{}, 1),
+		closing:     make(chan struct{}),
+		done:        make(chan struct{}),
+		st:          newTrackedState(cfg.Tree),
+		conns:       make(map[*Handle]struct{}),
+		failed:      make(map[faults.Channel]struct{}),
+		flap:        make(map[faults.Channel]*flapScore),
+		quar:        make(map[faults.Channel]time.Time),
+		budget:      newBucket(cfg.RepairBudget, time.Now()),
+		relRing:     newReleaseRing(ringSize),
+		epochSize:   newShardedRing(4096),
+		epochLat:    newShardedRing(4096),
+		repairLat:   newShardedRing(4096),
+		repairDepth: newShardedRing(4096),
+		routeChurn:  newShardedRing(4096),
+	}
+	// Delta-epoch mode is exactly a level-wise engine carrying the
+	// incremental flag (core.LevelWise implements ScheduleDeltaInto).
+	if lw, ok := eng.Unwrap().(*core.LevelWise); ok && lw.Opts.Incremental {
+		m.inc = lw
+		m.reuseCost = lw.Opts.ReuseCost
 	}
 	m.freeSlots.Store(int64(cfg.QueueLimit))
-	if inc != nil && par != nil {
-		m.parInc = par
-	}
-	ringSize := cfg.ReleaseRing
-	if ringSize == 0 {
-		ringSize = DefaultReleaseRing
-	}
-	if ringSize > 0 {
-		m.relRing = newReleaseRing(ringSize)
-	}
-	if cfg.DeliveryPipeline >= 0 {
-		spares := cfg.DeliveryPipeline
-		if spares == 0 {
-			spares = 1 // default: double-buffer the staged deliveries
-		}
-		m.delivCh = make(chan *delbatch, spares+1)
-		m.delivDone = make(chan struct{})
-		go m.deliveryWorker()
-	}
-	if cfg.DrainWorker {
-		m.drainOn = true
-		m.drainKick = make(chan struct{}, 1)
-		m.drainDone = make(chan struct{})
-		go m.drainWorker()
-	}
-	if m.statsOn {
-		m.mu.Lock()
-		m.publishStatsLocked()
-		m.mu.Unlock()
-	}
 	go m.flusher()
 	return m, nil
 }
@@ -962,13 +776,8 @@ func (m *Manager) enqueue(t *ticket) (ok, flush bool) {
 // ticket, and flushing a fresh sub-threshold batch early would erode
 // batching for no latency win.
 //
-// The inline path always delivers its own batch rather than staging it
-// on the delivery pipeline: the caller's verdict is in the batch, so a
-// hand-off would park this goroutine just to have the worker wake it
-// again — delivering directly fills the caller's buffered resp channel
-// with no switch at all, and the other waiters wake exactly as fast as
-// the worker would have woken them. The pipeline still overlaps
-// delivery for flusher-driven (MaxWait) epochs.
+// Delivering its own batch fills the caller's buffered resp channel
+// with no goroutine switch at all.
 func (m *Manager) tryFlushInline() {
 	if !m.mu.TryLock() {
 		m.wake()
@@ -978,6 +787,14 @@ func (m *Manager) tryFlushInline() {
 		m.mu.Unlock()
 		return
 	}
+	m.runEpochUnlock()
+}
+
+// runEpochUnlock is the one epoch sequence both the flusher and the
+// inline fast path run: drain the release ring, schedule the queued
+// batch, unlock, deliver the verdicts. Caller holds m.mu; runEpochUnlock
+// releases it before any client wakes.
+func (m *Manager) runEpochUnlock() {
 	m.drainReleasesLocked()
 	b := m.flushLocked()
 	m.mu.Unlock()
@@ -1014,16 +831,9 @@ func (m *Manager) Release(h *Handle) error {
 	// Fast path: an active handle on a running manager parks in the ring
 	// — two atomic loads and one CAS. Everything else goes synchronous:
 	// repairing and dead handles need their verdict now, a closed
-	// manager may have no flusher left to drain for it, and a full or
-	// disabled ring degrades to the lock rather than blocking.
-	if m.relRing != nil && h.state.Load() == handleActive && !m.closed.Load() && m.relRing.push(h) {
-		if m.drainOn {
-			// Nudge the drain core; the buffered channel coalesces bursts.
-			select {
-			case m.drainKick <- struct{}{}:
-			default:
-			}
-		}
+	// manager may have no flusher left to drain for it, and a full ring
+	// degrades to the lock rather than blocking.
+	if h.state.Load() == handleActive && !m.closed.Load() && m.relRing.push(h) {
 		return nil
 	}
 	return m.releaseSlow(h)
@@ -1045,7 +855,6 @@ func (m *Manager) releaseSlow(h *Handle) error {
 		m.finishReleaseLocked(h)
 	}
 	m.applyDeparturesLocked()
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	return err
 }
@@ -1055,35 +864,6 @@ func (m *Manager) releaseSlow(h *Handle) error {
 // consumer. Epoch flushes drain before scheduling, so channels freed by
 // the fast path are available to the pass that follows.
 func (m *Manager) drainReleasesLocked() {
-	if m.relRing == nil {
-		return
-	}
-	if m.drainOn {
-		// Dedicated drain core: the worker already moved parked handles
-		// into predrained, so the flush-time cost is a buffer swap plus
-		// whatever residue the worker has not reached yet. drmu is held
-		// only for the swap and the residual pop — the bookkeeping below
-		// runs under mu alone, off the worker's lock.
-		m.drmu.Lock()
-		pre := m.predrained
-		m.predrained = m.drainSpare[:0]
-		for {
-			h := m.relRing.pop()
-			if h == nil {
-				break
-			}
-			pre = append(pre, h)
-		}
-		m.drmu.Unlock()
-		for _, h := range pre {
-			m.finishReleaseLocked(h)
-		}
-		for i := range pre {
-			pre[i] = nil
-		}
-		m.drainSpare = pre[:0]
-		return
-	}
 	for {
 		h := m.relRing.pop()
 		if h == nil {
@@ -1170,10 +950,9 @@ func (m *Manager) clearDeparturesLocked() {
 // On a healthy fabric the whole path releases in one call; with faults
 // present the Theorem 2 walk is replayed and failed channels skipped —
 // they are masked out of the availability state and must not be
-// resurrected. (An active route normally never crosses a failed channel
-// — Fail revokes such connections — except when the owner's Release
-// raced the fault into the ring; the revoke walk skips released handles
-// and this walk finishes the teardown.) A failure here is an accounting
+// resurrected. (An active route never crosses a failed channel: Fail
+// revokes such connections, and finishes the release of any whose owner
+// is releasing it concurrently.) A failure here is an accounting
 // invariant violation, not a runtime condition.
 func (m *Manager) releaseRouteLocked(h *Handle) {
 	if len(m.failed) == 0 {
@@ -1202,20 +981,10 @@ func (m *Manager) Close(ctx context.Context) error {
 		// parked a handle after that final drain; sweep those up (and, in
 		// incremental mode, apply the staged departures — no flusher is
 		// left to run a delta epoch) so the fabric is fully drained when
-		// Close returns. The drain worker must be gone first: waiting on
-		// drainDone means no handle can move ring→predrained after this
-		// final sweep, which would otherwise strand it.
-		if m.drainDone != nil {
-			select {
-			case <-m.drainDone:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+		// Close returns.
 		m.mu.Lock()
 		m.drainReleasesLocked()
 		m.applyDeparturesLocked()
-		m.publishStatsLocked()
 		m.mu.Unlock()
 		return nil
 	case <-ctx.Done():
@@ -1233,17 +1002,7 @@ func (m *Manager) wake() {
 
 // flusher is the single goroutine that runs epochs against the state.
 func (m *Manager) flusher() {
-	defer func() {
-		// Stop the delivery worker before announcing exit: Close's drain
-		// guarantee ("queued requests answered") must cover verdicts still
-		// in the pipeline, so m.done only closes after the worker has
-		// flushed everything handed to it.
-		if m.delivCh != nil {
-			close(m.delivCh)
-			<-m.delivDone
-		}
-		close(m.done)
-	}()
+	defer close(m.done)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -1266,11 +1025,7 @@ func (m *Manager) flusher() {
 		closed := m.closed.Load()
 		m.qmu.Unlock()
 		if n > 0 && (closed || n >= m.cfg.BatchSize || time.Since(oldest) >= m.cfg.MaxWait) {
-			dels, handed := m.stageFlushLocked()
-			m.mu.Unlock()
-			if !handed {
-				m.deliver(dels)
-			}
+			m.runEpochUnlock()
 			continue
 		}
 		var wait time.Duration
@@ -1306,13 +1061,8 @@ func (m *Manager) flusher() {
 // flushLocked runs one epoch over every queued ticket and stages the
 // verdicts. Called with m.mu held; the scheduler pass happens under the
 // lock — that lock is the serialization point that makes the shared
-// linkstate.State safe. Epochs of at least Config.ParallelThreshold live
-// requests run on the parallel engine (its workers claim channels through
-// the atomic linkstate operations); smaller epochs take the
-// allocation-free sequential path through the manager's reusable Scratch.
-// The returned batch (from delPool; nil when the flush was empty) must
-// be delivered by the caller after unlocking — or handed to the
-// delivery worker, which is what stageFlushLocked does.
+// linkstate.State safe. The returned batch (from delPool; nil when the
+// flush was empty) must be delivered by the caller after unlocking.
 func (m *Manager) flushLocked() *delbatch {
 	// Swap the queue out under qmu: Connect keeps enqueueing into the
 	// spare array while this epoch schedules under mu.
@@ -1361,7 +1111,6 @@ func (m *Manager) flushLocked() *delbatch {
 		// departure-only) pass is not a scheduling epoch, and counting it
 		// would drag EpochSize/EpochLatencyMS toward zero.
 		m.applyDeparturesLocked()
-		m.publishStatsLocked()
 		return nil
 	}
 	reqs := m.reqbuf[:0]
@@ -1371,32 +1120,18 @@ func (m *Manager) flushLocked() *delbatch {
 	m.reqbuf = reqs
 
 	var res *core.Result
-	switch {
-	case m.inc != nil:
+	if m.inc != nil {
 		// Delta epoch: staged departures are torn down (fault-aware,
 		// inside the engine) before the arrival sweep, and everything
-		// already granted stays allocated. Parallel modes serve delta
-		// epochs through their sequential core — Result.Scheduler carries
-		// the documented fallback name.
-		eng := m.inc
-		if m.parInc != nil && len(reqs) >= m.parThreshold {
-			eng = m.parInc
-		}
-		res = eng.ScheduleDeltaInto(m.st, reqs, m.depbuf, m.scratch)
+		// already granted stays allocated.
+		res = m.inc.ScheduleDeltaInto(m.st, reqs, m.depbuf, m.scratch)
 		m.clearDeparturesLocked()
 		m.tornSinceEpoch += res.Torn
 		m.tornRoutes.Add(uint64(res.Torn))
-		m.lastEngine = res.Scheduler
-		m.seqEpochs.Add(1)
-	case m.par != nil && len(reqs) >= m.parThreshold:
-		res = m.par.Schedule(m.st, reqs)
-		m.lastEngine = m.par.Name()
-		m.parEpochs.Add(1)
-	default:
+	} else {
 		res = m.eng.ScheduleInto(m.st, reqs, m.scratch)
-		m.lastEngine = res.Scheduler
-		m.seqEpochs.Add(1)
 	}
+	m.lastEngine = res.Scheduler
 
 	epoch := m.epochs.Add(1)
 	established := 0
@@ -1457,7 +1192,6 @@ func (m *Manager) flushLocked() *delbatch {
 		live[i] = nil
 	}
 	m.livebuf = live[:0]
-	m.publishStatsLocked()
 	return b
 }
 
@@ -1475,68 +1209,6 @@ func (m *Manager) deliver(b *delbatch) {
 	}
 	b.d = b.d[:0]
 	m.delPool.Put(b)
-}
-
-// stageFlushLocked runs one epoch and routes the staged verdicts.
-// Caller holds m.mu. With the delivery pipeline on, the batch is handed
-// to the delivery worker and the caller moves straight on — scheduling
-// of epoch N+1 overlaps verdict wakeups of epoch N. The hand-off is
-// nonblocking and strictly XOR with caller delivery: each pooled batch
-// is owned by exactly one deliverer from flush to delPool.Put, so every
-// verdict is still sent exactly once. A full pipeline falls back to
-// returning the batch for the caller to deliver after unlocking:
-// back-to-back epochs degrade to the synchronous behavior, never stall.
-// Returns (batch, false) when the caller must deliver, (nil, true) when
-// the worker took it.
-func (m *Manager) stageFlushLocked() (*delbatch, bool) {
-	b := m.flushLocked()
-	if m.delivCh == nil || b == nil || len(b.d) == 0 {
-		return b, false
-	}
-	select {
-	case m.delivCh <- b:
-		return nil, true
-	default:
-		return b, false
-	}
-}
-
-// deliveryWorker drains staged epochs off the pipeline and wakes their
-// waiting Connect calls. Spent batches return to delPool inside
-// deliver. Exits when the flusher closes delivCh at shutdown, after
-// delivering everything already staged.
-func (m *Manager) deliveryWorker() {
-	defer close(m.delivDone)
-	for b := range m.delivCh {
-		m.deliver(b)
-	}
-}
-
-// drainWorker continuously retires release-ring entries into the
-// pre-drained buffer so epoch flushes pay a pointer swap instead of a
-// ring walk. It is the ring's consumer while enabled — drmu, not m.mu,
-// is the consumer lock (flushes take drmu inside mu; the worker never
-// takes mu, so the mu→drmu order is deadlock-free). Exits on Close;
-// Close waits for drainDone before its final drain so no handle is
-// stranded in predrained.
-func (m *Manager) drainWorker() {
-	defer close(m.drainDone)
-	for {
-		select {
-		case <-m.drainKick:
-		case <-m.closing:
-			return
-		}
-		m.drmu.Lock()
-		for {
-			h := m.relRing.pop()
-			if h == nil {
-				break
-			}
-			m.predrained = append(m.predrained, h)
-		}
-		m.drmu.Unlock()
-	}
 }
 
 // newTrackedState builds the plane's link state with load tracking on:

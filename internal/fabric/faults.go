@@ -71,22 +71,39 @@ func (m *Manager) Fail(fs *faults.FaultSet) (failed, revoked int, err error) {
 	}
 	if len(fresh) > 0 {
 		for h := range m.conns {
-			// A handle whose owner released it concurrently (parked in
-			// the ring after the drain above) is skipped: its channels
-			// are returned by the fault-aware releaseRouteLocked walk at
-			// the next drain, not by a repair it no longer wants.
-			if h.state.Load() == handleActive && !h.released.Load() && m.routeCrossesLocked(h, fresh) {
-				m.revokeLocked(h)
-				revoked++
+			if h.state.Load() != handleActive || !m.routeCrossesLocked(h, fresh) {
+				continue
 			}
+			if h.released.Load() {
+				// The owner is releasing it concurrently (its Release won
+				// the CAS after the drain above). Finish that release now,
+				// while the mask still covers the dead channels — a Repair
+				// before the next drain would hand them back free first —
+				// and mark the handle dead so the ring drain or the slow
+				// path that follows does nothing more.
+				m.finishReleaseLocked(h)
+				h.state.Store(handleDead)
+				continue
+			}
+			m.revokeLocked(h)
+			revoked++
 		}
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if revoked > 0 {
 		m.wake() // repair tickets are waiting for the next epoch
 	}
 	return failed, revoked, nil
+}
+
+// repairChannelLocked returns a masked channel to service. Staged
+// departures are applied first, while the mask still covers the
+// channels their fault-aware teardown skips: RepairLink hands the
+// channel back free, and a departure torn down after it would release
+// it a second time. Caller holds m.mu.
+func (m *Manager) repairChannelLocked(c faults.Channel) {
+	m.applyDeparturesLocked()
+	m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
 }
 
 // FailLink fails one link's channels (dir faults.Both for the whole
@@ -127,10 +144,9 @@ func (m *Manager) Repair(fs *faults.FaultSet) (int, error) {
 		if _, q := m.quar[c]; q {
 			continue // quarantine owns the mask; probation releases it
 		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
+		m.repairChannelLocked(c)
 		repaired++
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.wake()
@@ -151,10 +167,9 @@ func (m *Manager) RepairAll() int {
 		if _, q := m.quar[c]; q {
 			continue // stays masked until its probation passes
 		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
+		m.repairChannelLocked(c)
 		repaired++
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if repaired > 0 {
 		m.wake()

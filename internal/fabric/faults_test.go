@@ -385,3 +385,85 @@ func TestCloseAbortsRepairs(t *testing.T) {
 		t.Fatalf("aborted handle Err = %v, want ErrClosed", h.Err())
 	}
 }
+
+// TestReleaseRacingFailThenRepair: an owner's Release that wins its CAS
+// while Fail walks the connections is finished by Fail itself, under
+// the fault mask. Otherwise the handle would still be parked when a
+// Repair hands the dead channel back free, and its drain would release
+// that channel a second time.
+func TestReleaseRacingFailThenRepair(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	m, err := New(Config{Tree: tree, BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	h, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.released.Store(true) // the owner's CAS; its push has not happened yet
+	if revoked, err := m.FailLink(0, 0, h.ports[0], faults.Both); err != nil || revoked != 0 {
+		t.Fatalf("FailLink = %d revoked, %v; want a released handle left unrevoked", revoked, err)
+	}
+	m.relRing.push(h) // the owner's fast path completes after the walk
+	if n := m.RepairAll(); n == 0 {
+		t.Fatal("RepairAll repaired nothing")
+	}
+	s := m.Stats() // drains the ring
+	if s.Released != 1 || s.Active != 0 || s.Occupancy != 0 || s.Revoked != 0 {
+		t.Fatalf("after release/fail/repair race: %+v", s)
+	}
+}
+
+// TestRepairBeforeDeltaDeparture: in delta mode a revoked route waits in
+// the departure buffer for the next epoch. A Repair that comes first
+// must apply it while the fault still masks the dead channel, not hand
+// the channel back free and let the departure release it again.
+func TestRepairBeforeDeltaDeparture(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	// Epochs flush only when two requests are queued, so the lone repair
+	// ticket the fault queues cannot run a delta epoch before RepairAll.
+	m, err := New(Config{Tree: tree, SchedulerSpec: incSpec, BatchSize: 2, MaxWait: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tree.Nodes()
+	hs := make([]*Handle, 2)
+	var wg sync.WaitGroup
+	for i := range hs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h, err := m.Connect(context.Background(), i, n-1-i)
+			if err != nil {
+				t.Errorf("connect %d: %v", i, err)
+			}
+			hs[i] = h
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if revoked, err := m.FailLink(0, 0, hs[0].Ports()[0], faults.Up); err != nil || revoked != 1 {
+		t.Fatalf("FailLink = %d revoked, %v; want 1", revoked, err)
+	}
+	if n := m.RepairAll(); n != 1 {
+		t.Fatalf("RepairAll repaired %d channels, want 1", n)
+	}
+	if s := m.Stats(); s.Revoked != 1 || s.PendingRepairs != 1 || s.Occupancy != 2 {
+		t.Fatalf("after revoke and repair: %+v", s)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hs {
+		if err := h.Release(); err != nil && !errors.Is(err, ErrClosed) {
+			t.Fatalf("release: %v", err)
+		}
+	}
+	if s := m.Stats(); s.Occupancy != 0 || s.Active != 0 {
+		t.Fatalf("fabric not drained: %+v", s)
+	}
+}

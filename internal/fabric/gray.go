@@ -152,7 +152,7 @@ func (m *Manager) settleQuarantineLocked(now time.Time) int {
 		if _, bad := m.failed[c]; bad {
 			continue // the mask stays: the channel is still failed outright
 		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
+		m.repairChannelLocked(c)
 		released++
 	}
 	return released
@@ -162,9 +162,6 @@ func (m *Manager) settleQuarantineLocked(now time.Time) int {
 func (m *Manager) settleQuarantine() {
 	m.mu.Lock()
 	released := m.settleQuarantineLocked(time.Now())
-	if released > 0 {
-		m.publishStatsLocked()
-	}
 	m.mu.Unlock()
 	if released > 0 {
 		m.wake() // freed capacity: let the next epoch use it
@@ -210,13 +207,12 @@ func (m *Manager) ClearQuarantine() int {
 		if _, bad := m.failed[c]; bad {
 			continue
 		}
-		m.st.RepairLink(c.Dir, c.Level, c.Switch, c.Port)
+		m.repairChannelLocked(c)
 		released++
 	}
 	for c := range m.flap {
 		delete(m.flap, c)
 	}
-	m.publishStatsLocked()
 	m.mu.Unlock()
 	if released > 0 {
 		m.wake()

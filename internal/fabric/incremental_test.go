@@ -12,27 +12,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
+// incSpec is the default engine with delta epochs switched on.
+const incSpec = "level-wise,rollback,incremental"
+
+// TestIncrementalConfigValidation: delta mode is selected by the spec
+// string alone — exactly a level-wise engine carrying the incremental
+// flag — and every malformed way of asking for it fails in New.
 func TestIncrementalConfigValidation(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	cases := []struct {
 		name    string
 		cfg     Config
 		wantSub string // empty means the config must be accepted
+		wantInc bool
 	}{
-		{"negative reuse-cost", Config{Tree: tree, Incremental: true, ReuseCost: -1}, "invalid ReuseCost"},
-		{"reuse-cost without incremental", Config{Tree: tree, ReuseCost: 2}, "ReuseCost requires Incremental"},
-		{"reuse-cost with spec", Config{Tree: tree, Incremental: true, ReuseCost: 2, SchedulerSpec: "level-wise"},
-			"put reuse-cost in the SchedulerSpec"},
-		{"incremental without capability", Config{Tree: tree, Incremental: true, SchedulerSpec: "optimal"},
-			"delta-epoch capability"},
-		{"incremental default engine", Config{Tree: tree, Incremental: true}, ""},
-		{"incremental with reuse", Config{Tree: tree, Incremental: true, ReuseCost: 3}, ""},
-		{"incremental via spec flag", Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"}, ""},
-		{"incremental spec plus config flag", Config{Tree: tree, Incremental: true, SchedulerSpec: "level-wise,rollback,incremental"}, ""},
+		{"negative reuse-cost", Config{Tree: tree, SchedulerSpec: "level-wise,incremental,reuse-cost=-1"}, "invalid reuse-cost", false},
+		{"reuse-cost without incremental", Config{Tree: tree, SchedulerSpec: "level-wise,reuse-cost=2"}, "requires the incremental flag", false},
+		{"incremental without capability", Config{Tree: tree, SchedulerSpec: "optimal,incremental"}, "unknown parameter", false},
+		{"parallel has no delta mode", Config{Tree: tree, SchedulerSpec: "parallel,workers=2,incremental"}, "unknown parameter", false},
+		{"incremental via spec flag", Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"}, "", true},
+		{"incremental with rollback", Config{Tree: tree, SchedulerSpec: incSpec}, "", true},
+		{"incremental scheduler value", Config{Tree: tree, Scheduler: &core.LevelWise{Opts: core.Options{Incremental: true}}}, "", true},
+		{"default engine", Config{Tree: tree}, "", false},
+		{"parallel engine", Config{Tree: tree, SchedulerSpec: "parallel,workers=2"}, "", false},
 	}
 	for _, c := range cases {
 		m, err := New(c.cfg)
@@ -49,12 +56,12 @@ func TestIncrementalConfigValidation(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 			continue
 		}
-		if s := m.Stats(); !s.Incremental {
-			t.Errorf("%s: Stats.Incremental = false, want true", c.name)
+		if s := m.Stats(); s.Incremental != c.wantInc {
+			t.Errorf("%s: Stats.Incremental = %v, want %v", c.name, s.Incremental, c.wantInc)
 		}
 		m.Close(context.Background())
 	}
-	// The effective reuse-cost cap is echoed whichever way it was named.
+	// The spec's reuse-cost cap is echoed.
 	m, err := New(Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"})
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +78,14 @@ func TestIncrementalConfigValidation(t *testing.T) {
 // manager must grant exactly the routes a batch manager grants.
 func TestIncrementalMatchesBatchArrivalsOnly(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	mk := func(incremental bool) *Manager {
-		m, err := New(Config{Tree: tree, BatchSize: 1, Incremental: incremental})
+	mk := func(spec string) *Manager {
+		m, err := New(Config{Tree: tree, BatchSize: 1, SchedulerSpec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	batch, inc := mk(false), mk(true)
+	batch, inc := mk(""), mk(incSpec)
 	defer batch.Close(context.Background())
 	defer inc.Close(context.Background())
 	n := tree.Nodes()
@@ -117,7 +124,7 @@ func TestIncrementalMatchesBatchArrivalsOnly(t *testing.T) {
 // the fabric to zero occupancy even though no batch rebuild ever ran.
 func TestIncrementalChurnAccounting(t *testing.T) {
 	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 1, Incremental: true})
+	m, err := New(Config{Tree: tree, BatchSize: 1, SchedulerSpec: incSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +181,7 @@ func TestIncrementalChurnAccounting(t *testing.T) {
 func TestIncrementalRevokeFlowsThroughDeltaPath(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	cfg := fastRepair(tree)
-	cfg.Incremental = true
+	cfg.SchedulerSpec = incSpec
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +235,7 @@ func TestIncrementalRevokeFlowsThroughDeltaPath(t *testing.T) {
 // EpochLatencyMS. Only real scheduling passes are epochs.
 func TestEpochHistogramExcludesEmptyFlushes(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 5 * time.Millisecond, Incremental: true})
+	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 5 * time.Millisecond, SchedulerSpec: incSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,21 +284,21 @@ func TestEpochHistogramExcludesEmptyFlushes(t *testing.T) {
 // TestReleaseRingDrainRacesClose races fast-path releases against Close
 // in both modes: every parked handle must be retired exactly once — no
 // grant may be dropped between the ring and the final drain — leaving
-// Released == grants and zero occupancy. The ring is kept tiny so some
-// releases overflow to the synchronous path mid-shutdown.
+// Released == grants and zero occupancy. The ring is kept tiny (through
+// the newManager seam) so some releases overflow to the synchronous
+// path mid-shutdown.
 func TestReleaseRingDrainRacesClose(t *testing.T) {
 	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"batch", false}, {"incremental", true}} {
+		name string
+		spec string
+	}{{"batch", ""}, {"incremental", incSpec}} {
 		t.Run(mode.name, func(t *testing.T) {
 			tree := topology.MustNew(3, 4, 4)
-			m, err := New(Config{
-				Tree:        tree,
-				BatchSize:   1,
-				Incremental: mode.incremental,
-				ReleaseRing: 8,
-			})
+			m, err := newManager(Config{
+				Tree:          tree,
+				BatchSize:     1,
+				SchedulerSpec: mode.spec,
+			}, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,44 +344,5 @@ func TestReleaseRingDrainRacesClose(t *testing.T) {
 				t.Fatalf("grants dropped in the ring/Close race: %+v", s)
 			}
 		})
-	}
-}
-
-// TestIncrementalParallelFallbackName pins the documented behavior for
-// parallel-configured incremental managers: delta epochs always run the
-// sequential core, and LastEpochEngine says so.
-func TestIncrementalParallelFallbackName(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         4,
-		MaxWait:           time.Hour, // flush only on a full batch
-		Incremental:       true,
-		ParallelThreshold: 2,
-		ParallelWorkers:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-	var wg sync.WaitGroup
-	n := tree.Nodes()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if h, err := m.Connect(context.Background(), i, n-1-i); err == nil {
-				h.Release()
-			}
-		}(i)
-	}
-	wg.Wait()
-	s := m.Stats()
-	want := "level-wise/rollback/incremental/par-fallback=incremental-delta"
-	if s.LastEpochEngine != want {
-		t.Fatalf("LastEpochEngine = %q, want %q", s.LastEpochEngine, want)
-	}
-	if s.ParallelEpochs != 0 || s.SequentialEpochs != s.Epochs {
-		t.Fatalf("delta epochs must count as sequential: %+v", s)
 	}
 }

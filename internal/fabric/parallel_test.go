@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -37,79 +36,55 @@ func burst(t *testing.T, m *Manager, tree *topology.Tree, n int, seed int64) {
 	wg.Wait()
 }
 
-// TestParallelThresholdRouting checks that epochs at or above
-// ParallelThreshold run on the parallel engine, epochs below it stay
-// sequential, both are counted, and the journal replay proves link safety
-// across the mix.
-func TestParallelThresholdRouting(t *testing.T) {
-	tree := topology.MustNew(3, 8, 8)
-	var j journal
-	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         64,
-		MaxWait:           20 * time.Millisecond,
-		ParallelThreshold: 4,
-		ParallelWorkers:   4,
-		Trace:             j.record,
-	})
+// fullEpochEngine runs one epoch of exactly four requests on a fresh
+// manager built from spec and returns the engine that ran it. Nothing
+// flushes before the fourth enqueue (MaxWait is an hour), and the four
+// requests fill two level-1 subtrees of FT(3,4,4), so even the shard
+// engine has two shards to schedule rather than falling back to its
+// sequential core.
+func fullEpochEngine(t *testing.T, spec string) string {
+	t.Helper()
+	tree := topology.MustNew(3, 4, 4)
+	m, err := New(Config{Tree: tree, SchedulerSpec: spec, BatchSize: 4, MaxWait: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A 64-client burst fills whole epochs well past the threshold.
-	burst(t, m, tree, 64, 1)
-	s := m.Stats()
-	if s.ParallelEpochs == 0 {
-		t.Fatalf("no epoch went parallel: %+v", s)
+	defer m.Close(context.Background())
+	var wg sync.WaitGroup
+	for _, r := range [][2]int{{0, 5}, {1, 6}, {16, 21}, {17, 22}} {
+		wg.Add(1)
+		go func(src, dst int) {
+			defer wg.Done()
+			h, err := m.Connect(context.Background(), src, dst)
+			if err != nil {
+				t.Errorf("connect %d→%d: %v", src, dst, err)
+				return
+			}
+			if err := h.Release(); err != nil {
+				t.Errorf("release %d→%d: %v", src, dst, err)
+			}
+		}(r[0], r[1])
 	}
-	if s.LastEpochEngine != "parallel-level-wise/deterministic/w4" {
-		t.Errorf("LastEpochEngine = %q", s.LastEpochEngine)
-	}
-
-	// A lone request is an epoch of one: below threshold, sequential.
-	h, err := m.Connect(context.Background(), 0, tree.Nodes()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Release(); err != nil {
-		t.Fatal(err)
-	}
-	s = m.Stats()
-	if s.SequentialEpochs == 0 {
-		t.Errorf("lone request did not run sequentially: %+v", s)
-	}
-	if s.LastEpochEngine != "level-wise/rollback" {
-		t.Errorf("LastEpochEngine after lone request = %q", s.LastEpochEngine)
-	}
-	if s.SequentialEpochs+s.ParallelEpochs != s.Epochs {
-		t.Errorf("epoch split %d+%d != %d", s.SequentialEpochs, s.ParallelEpochs, s.Epochs)
-	}
-	if s.ParallelThreshold != 4 || s.ParallelWorkers != 4 || s.ParallelMode != "deterministic" {
-		t.Errorf("config echo wrong: %+v", s)
-	}
-
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	events := j.events
-	j.mu.Unlock()
-	replay(t, tree, events)
+	wg.Wait()
+	return m.Stats().LastEpochEngine
 }
 
-// TestParallelRacyManager drives the lock-free engine through the manager
-// under load (and under -race in CI) and replays the journal.
+// TestParallelRacyManager drives the lock-free engine, selected by its
+// spec string, through the manager under load (and under -race in CI)
+// and replays the journal.
 func TestParallelRacyManager(t *testing.T) {
+	const spec = "parallel,mode=racy,workers=8,rollback"
+	if got := fullEpochEngine(t, spec); got != "parallel-level-wise/racy/w8" {
+		t.Errorf("full epoch ran on %q", got)
+	}
 	tree := topology.MustNew(3, 4, 4)
 	var j journal
 	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         32,
-		MaxWait:           10 * time.Millisecond,
-		ParallelThreshold: 2,
-		ParallelWorkers:   8,
-		ParallelRacy:      true,
-		Trace:             j.record,
+		Tree:          tree,
+		SchedulerSpec: spec,
+		BatchSize:     32,
+		MaxWait:       10 * time.Millisecond,
+		Trace:         j.record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +93,6 @@ func TestParallelRacyManager(t *testing.T) {
 		burst(t, m, tree, 48, int64(round)*100)
 	}
 	s := m.Stats()
-	if s.ParallelEpochs == 0 {
-		t.Fatalf("no epoch went parallel: %+v", s)
-	}
-	if s.ParallelMode != "racy" {
-		t.Errorf("ParallelMode = %q", s.ParallelMode)
-	}
 	if s.Active != 0 || s.Utilization != 0 {
 		t.Errorf("drained manager still holds links: %+v", s)
 	}
@@ -136,20 +105,22 @@ func TestParallelRacyManager(t *testing.T) {
 	replay(t, tree, events)
 }
 
-// TestParallelShardManager drives the subtree-sharded engine through the
-// manager under load (and under -race in CI) and replays the journal.
+// TestParallelShardManager drives the subtree-sharded engine, selected
+// by its spec string, through the manager under load (and under -race
+// in CI) and replays the journal.
 func TestParallelShardManager(t *testing.T) {
+	const spec = "parallel,mode=shard,workers=8,steal,rollback"
+	if got := fullEpochEngine(t, spec); got != "parallel-level-wise/shard+steal/w8" {
+		t.Errorf("full epoch ran on %q", got)
+	}
 	tree := topology.MustNew(3, 4, 4)
 	var j journal
 	m, err := New(Config{
-		Tree:              tree,
-		BatchSize:         32,
-		MaxWait:           10 * time.Millisecond,
-		ParallelThreshold: 2,
-		ParallelWorkers:   8,
-		ParallelMode:      "shard",
-		ParallelSteal:     true,
-		Trace:             j.record,
+		Tree:          tree,
+		SchedulerSpec: spec,
+		BatchSize:     32,
+		MaxWait:       10 * time.Millisecond,
+		Trace:         j.record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +129,6 @@ func TestParallelShardManager(t *testing.T) {
 		burst(t, m, tree, 48, int64(round)*100)
 	}
 	s := m.Stats()
-	if s.ParallelEpochs == 0 {
-		t.Fatalf("no epoch went parallel: %+v", s)
-	}
-	if s.ParallelMode != "shard+steal" {
-		t.Errorf("ParallelMode = %q", s.ParallelMode)
-	}
 	if s.Active != 0 || s.Utilization != 0 {
 		t.Errorf("drained manager still holds links: %+v", s)
 	}
@@ -174,60 +139,6 @@ func TestParallelShardManager(t *testing.T) {
 	events := j.events
 	j.mu.Unlock()
 	replay(t, tree, events)
-}
-
-// TestParallelModeConfigErrors pins the ParallelMode/ParallelSteal
-// validation in New.
-func TestParallelModeConfigErrors(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	for _, cfg := range []Config{
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "sharded"},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "shard", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "deterministic", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelSteal: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "racy", ParallelSteal: true},
-	} {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("Config{ParallelMode:%q, ParallelRacy:%v, ParallelSteal:%v} accepted",
-				cfg.ParallelMode, cfg.ParallelRacy, cfg.ParallelSteal)
-		}
-	}
-	// The compatible spellings still construct: explicit racy both ways,
-	// and shard without steal.
-	for _, cfg := range []Config{
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "racy", ParallelRacy: true},
-		{Tree: tree, ParallelThreshold: 4, ParallelMode: "shard"},
-	} {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatalf("Config{ParallelMode:%q}: %v", cfg.ParallelMode, err)
-		}
-		if err := m.Close(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestParallelRequiresDefaultScheduler: the parallel engine mirrors the
-// Level-wise options, so a custom scheduler plus a threshold is a config
-// error, while an explicit *core.LevelWise is accepted.
-func TestParallelRequiresDefaultScheduler(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	_, err := New(Config{Tree: tree, Scheduler: &core.BacktrackLevelWise{}, ParallelThreshold: 8})
-	if err == nil {
-		t.Fatal("backtracking scheduler with ParallelThreshold accepted")
-	}
-	m, err := New(Config{
-		Tree:              tree,
-		Scheduler:         &core.LevelWise{Opts: core.Options{Rollback: true}},
-		ParallelThreshold: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestHandlePortsOwned: a handle's ports must survive later epochs even

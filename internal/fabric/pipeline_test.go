@@ -3,7 +3,7 @@ package fabric
 // Tests for the low-latency admission pipeline: the pooled-ticket
 // zero-allocation guarantee on the Connect enqueue path, release-ring
 // wraparound and exactly-once drain, ticket cancellation racing the
-// pool, the delivery and drain workers, and the seqlock Stats snapshot.
+// pool, and exactly-once verdict delivery.
 // ci runs this package under -race -count=2, which is where the
 // concurrency assertions bite.
 
@@ -89,8 +89,8 @@ func TestReleaseRingWraparoundFull(t *testing.T) {
 }
 
 // TestReleaseRingConcurrentExactlyOnce hammers the ring with concurrent
-// producers while a single consumer (holding its own lock, as drmu does
-// under DrainWorker) drains it, and checks every handle comes out
+// producers while a single consumer (holding its own lock, as m.mu is
+// for the manager) drains it, and checks every handle comes out
 // exactly once. Producers whose push finds the ring full retry — the
 // manager's fallback is releaseSlow, but for the ring invariant what
 // matters is that no accepted handle is ever lost or duplicated.
@@ -113,7 +113,7 @@ func TestReleaseRingConcurrentExactlyOnce(t *testing.T) {
 			}
 		}(p)
 	}
-	var cmu sync.Mutex // the consumer lock, as drmu is under DrainWorker
+	var cmu sync.Mutex // the consumer lock, as m.mu is for the manager
 	seen := make(map[*Handle]int)
 	popped := 0
 	for popped < producers*perProd {
@@ -201,21 +201,36 @@ func TestCancelRacesPooledTickets(t *testing.T) {
 	}
 }
 
-// TestDeliveryPipelineModes runs the same workload with the delivery
-// worker disabled, default (double-buffered), and deep: every mode must
-// deliver every verdict exactly once — each Connect returns exactly one
-// grant or error, and the counters add up.
+// TestDeliveryPipelineModes checks every verdict is delivered exactly
+// once on the one delivery path: each Connect returns exactly one grant
+// or error, and the counters add up. The subtests keep the names of the
+// DeliveryPipeline settings the test used to sweep; both now run the
+// same drain → flush → unlock → deliver sequence, under a different
+// epoch shape each:
+//   - pipeline=-1 (the old synchronous setting): BatchSize exceeds the
+//     client count, so no epoch ever fills and the MaxWait timer on the
+//     flusher flushes and delivers every one.
+//   - pipeline=0 (the old default): a mixed workload of full epochs
+//     flushed inline by the connecting goroutine and partial epochs
+//     flushed by the timer.
 func TestDeliveryPipelineModes(t *testing.T) {
-	for _, pipeline := range []int{-1, 0, 3} {
-		t.Run(fmt.Sprintf("pipeline=%d", pipeline), func(t *testing.T) {
+	const clients = 8
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{
+		{"pipeline=-1", 2 * clients},
+		{"pipeline=0", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			tree := topology.MustNew(2, 4, 4)
-			m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 100 * time.Microsecond, DeliveryPipeline: pipeline})
+			m, err := New(Config{Tree: tree, BatchSize: tc.batch, MaxWait: 100 * time.Microsecond})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
 			var granted, rejected sync.Map
-			for c := 0; c < 8; c++ {
+			for c := 0; c < clients; c++ {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
@@ -253,134 +268,13 @@ func TestDeliveryPipelineModes(t *testing.T) {
 			if r := count(&rejected); r != s.Rejected {
 				t.Errorf("clients saw %d rejections, manager counted %d", r, s.Rejected)
 			}
-			if s.Offered != 800 {
-				t.Errorf("offered = %d, want 800", s.Offered)
+			if s.Offered != clients*100 {
+				t.Errorf("offered = %d, want %d", s.Offered, clients*100)
+			}
+			if s.Active != 0 || s.Occupancy != 0 {
+				t.Errorf("active = %d, occupancy = %d after releasing everything, want 0", s.Active, s.Occupancy)
 			}
 		})
-	}
-}
-
-// TestDrainWorkerRetiresReleases exercises the dedicated drain core:
-// fast-path releases must all retire (through predrained swaps and the
-// Close-time residue sweep), leaving nothing held or stranded.
-func TestDrainWorkerRetiresReleases(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 4, MaxWait: 100 * time.Microsecond, DrainWorker: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id)))
-			nodes := tree.Nodes()
-			var held []*Handle
-			for i := 0; i < 200; i++ {
-				for len(held) >= 4 {
-					if err := m.Release(held[0]); err != nil {
-						t.Errorf("release: %v", err)
-						return
-					}
-					held = held[1:]
-				}
-				if h, err := m.Connect(context.Background(), rng.Intn(nodes), rng.Intn(nodes)); err == nil {
-					held = append(held, h)
-				} else if !errors.Is(err, ErrUnroutable) {
-					t.Errorf("connect: %v", err)
-					return
-				}
-			}
-			for _, h := range held {
-				if err := m.Release(h); err != nil {
-					t.Errorf("final release: %v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s := m.Stats()
-	if s.Active != 0 {
-		t.Errorf("active = %d after releasing everything, want 0", s.Active)
-	}
-	if s.Released != s.Granted {
-		t.Errorf("released %d != granted %d after full drain", s.Released, s.Granted)
-	}
-	if s.Occupancy != 0 {
-		t.Errorf("occupancy = %d after full drain, want 0 (stranded release)", s.Occupancy)
-	}
-}
-
-// TestDrainWorkerRequiresRing: the drain worker is a ring consumer, so
-// configuring it with the ring disabled is a construction error.
-func TestDrainWorkerRequiresRing(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	if _, err := New(Config{Tree: tree, DrainWorker: true, ReleaseRing: -1}); err == nil {
-		t.Fatal("New accepted DrainWorker with the release ring disabled")
-	}
-}
-
-// TestStatsSnapshots checks the seqlock path: Stats must reflect work
-// without taking the scheduling lock, tolerate concurrent readers under
-// the race detector, and converge after a fault (the read nudges the
-// flusher, whose next pass republishes).
-func TestStatsSnapshots(t *testing.T) {
-	tree := topology.MustNew(2, 4, 4)
-	m, err := New(Config{Tree: tree, BatchSize: 1, MaxWait: 50 * time.Microsecond, StatsSnapshots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() { // concurrent snapshot readers racing the flusher's publishes
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := m.Stats()
-				if s.Utilization < 0 || s.Utilization > 1 {
-					t.Errorf("torn utilization read: %v", s.Utilization)
-					return
-				}
-				if s.DegradedCapacity < 0 || s.DegradedCapacity > 1 {
-					t.Errorf("torn capacity read: %v", s.DegradedCapacity)
-					return
-				}
-			}
-		}()
-	}
-	h, err := m.Connect(context.Background(), 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return m.Stats().Granted == 1 })
-	if _, err := m.FailLink(0, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	// The fault publishes under mu; the snapshot must converge without
-	// any Stats-side settling.
-	waitFor(t, func() bool { return m.Stats().FaultyChannels > 0 })
-	if err := m.Release(h); err != nil && !errors.Is(err, ErrUnroutableDegraded) {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s := m.Stats()
-	if s.LastEpochEngine == "" {
-		t.Error("snapshot lost the last epoch engine name")
 	}
 }
 

@@ -16,16 +16,14 @@ import (
 // releaseRing is a bounded multi-producer single-consumer queue of
 // released handles. Producers (the Release fast path) claim a slot with
 // one CAS on tail and publish the handle pointer into it; the single
-// consumer — whoever holds the consumer lock (m.mu inside
-// drainReleasesLocked by default, m.drmu when the dedicated drain
-// worker is on) — pops until it reaches an empty slot or one a producer
-// has claimed but not yet published (that slot is simply picked up by a
-// later drain). A full ring fails the push and the caller falls back to
+// consumer — whoever holds m.mu, inside drainReleasesLocked — pops
+// until it reaches an empty slot or one a producer has claimed but not
+// yet published (that slot is simply picked up by a later drain). A full ring fails the push and the caller falls back to
 // the synchronous release path, so the ring never blocks and never
 // drops a handle.
 type releaseRing struct {
 	mask uint64
-	head atomic.Uint64 // consumer cursor; advanced only under the consumer lock
+	head atomic.Uint64 // consumer cursor; advanced only under m.mu
 	tail atomic.Uint64 // producer cursor
 	slot []atomic.Pointer[Handle]
 }
@@ -59,7 +57,7 @@ func (r *releaseRing) push(h *Handle) bool {
 
 // pop returns the next published handle, or nil when the ring is empty
 // or the next slot is claimed but not yet published. Single consumer:
-// callers hold the consumer lock (m.mu, or m.drmu under DrainWorker).
+// callers hold m.mu.
 func (r *releaseRing) pop() *Handle {
 	head := r.head.Load()
 	if head == r.tail.Load() {

@@ -1,12 +1,8 @@
 package fabric
 
 import (
-	"math"
-	"runtime"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/parsched"
 	"repro/internal/stats"
 )
 
@@ -102,17 +98,9 @@ type Stats struct {
 	// so it includes the batching wait.
 	EpochSize      Dist `json:"epoch_size"`
 	EpochLatencyMS Dist `json:"epoch_latency_ms"`
-	// Engine-choice observability: SequentialEpochs + ParallelEpochs ==
-	// Epochs; LastEpochEngine names the scheduler that ran the most recent
-	// epoch. ParallelThreshold/ParallelWorkers/ParallelMode echo the
-	// configuration (workers and mode are empty/zero when the parallel
-	// engine is disabled).
-	SequentialEpochs  uint64 `json:"sequential_epochs"`
-	ParallelEpochs    uint64 `json:"parallel_epochs"`
-	ParallelThreshold int    `json:"parallel_threshold"`
-	ParallelWorkers   int    `json:"parallel_workers,omitempty"`
-	ParallelMode      string `json:"parallel_mode,omitempty"`
-	LastEpochEngine   string `json:"last_epoch_engine,omitempty"`
+	// LastEpochEngine names the scheduler that ran the most recent epoch
+	// (for the parallel engine: its mode and worker count).
+	LastEpochEngine string `json:"last_epoch_engine,omitempty"`
 	// Fault and repair observability. Every revocation resolves into
 	// exactly one of Repaired, RepairFailed (retries exhausted →
 	// ErrUnroutableDegraded), or RepairAborted (shutdown or owner release
@@ -161,101 +149,29 @@ type Stats struct {
 	RouteChurn        Dist   `json:"route_churn"`
 }
 
-// statsSnap is the seqlock-published slice of Stats that depends on
-// m.mu-guarded state. The flusher (and every other mu holder that
-// changes these) stores fresh values between two seq increments; a
-// lock-free reader retries until it observes an even, unchanged seq.
-// Every field is an atomic so the torn-read window is race-detector
-// clean — the seq protocol is what makes the *set* coherent.
-type statsSnap struct {
-	seq      atomic.Uint64          // odd while a publish is in progress
-	engine   atomic.Pointer[string] // LastEpochEngine; repointed only on change
-	faulty   atomic.Int64           // len(m.failed)
-	quar     atomic.Int64           // len(m.quar)
-	util     atomic.Uint64          // math.Float64bits(utilization)
-	capacity atomic.Uint64          // math.Float64bits(degraded capacity)
-}
-
-// publishStatsLocked refreshes the seqlock snapshot. Caller holds m.mu.
-// No-op unless Config.StatsSnapshots is on, so the default path pays
-// nothing. The engine name is re-pointed only when it changes — at
-// steady state a publish is a handful of atomic stores plus the two
-// cheap popcount sweeps behind Utilization and FailedCount.
-func (m *Manager) publishStatsLocked() {
-	if !m.statsOn {
-		return
-	}
-	m.snap.seq.Add(1)
-	if cur := m.snap.engine.Load(); cur == nil || *cur != m.lastEngine {
-		name := m.lastEngine
-		m.snap.engine.Store(&name)
-	}
-	m.snap.faulty.Store(int64(len(m.failed)))
-	m.snap.quar.Store(int64(len(m.quar)))
-	m.snap.util.Store(math.Float64bits(m.st.Utilization()))
-	capacity := 1.0
-	if total := m.st.ChannelCount(); total > 0 {
-		capacity = float64(total-m.st.FailedCount()) / float64(total)
-	}
-	m.snap.capacity.Store(math.Float64bits(capacity))
-	m.snap.seq.Add(1)
-}
-
 // Stats returns a snapshot of the manager's counters, queue, epoch
 // distributions, and live link utilization. No lock is held across the
 // distribution summaries: histogram samples are copied stripe by stripe
 // and the sort/percentile pass runs outside, so a large snapshot never
 // stalls the flusher or a client.
 //
-// By default the call takes the scheduling lock and settles pending
-// work first — parked fast-path releases are drained and staged
-// departures applied, so the snapshot reflects every Release that
-// returned before the call. With Config.StatsSnapshots on, the
-// mu-dependent fields come from the seqlock snapshot instead: Stats
-// never blocks on (or blocks) the flusher, at the cost of those fields
-// trailing live state by at most one epoch; the call nudges the flusher
-// so the next publish is imminent, and performs no settling of its own.
+// The call takes the scheduling lock and settles pending work first —
+// parked fast-path releases are drained and staged departures applied,
+// so the snapshot reflects every Release that returned before the call.
 func (m *Manager) Stats() Stats {
-	var util, capacity float64
-	var lastEngine string
-	var faulty, quarantined int
-	if m.statsOn {
-		for {
-			s1 := m.snap.seq.Load()
-			if s1&1 == 0 {
-				eng := m.snap.engine.Load()
-				f := m.snap.faulty.Load()
-				q := m.snap.quar.Load()
-				u := m.snap.util.Load()
-				c := m.snap.capacity.Load()
-				if m.snap.seq.Load() == s1 {
-					if eng != nil {
-						lastEngine = *eng
-					}
-					faulty, quarantined = int(f), int(q)
-					util = math.Float64frombits(u)
-					capacity = math.Float64frombits(c)
-					break
-				}
-			}
-			runtime.Gosched() // publish in flight; retry
-		}
-		m.wake() // bound staleness: the flusher republishes on its next pass
-	} else {
-		m.mu.Lock()
-		m.drainReleasesLocked()
-		m.applyDeparturesLocked()
-		m.settleQuarantineLocked(time.Now())
-		util = m.st.Utilization()
-		lastEngine = m.lastEngine
-		faulty = len(m.failed)
-		quarantined = len(m.quar)
-		capacity = 1.0
-		if total := m.st.ChannelCount(); total > 0 {
-			capacity = float64(total-m.st.FailedCount()) / float64(total)
-		}
-		m.mu.Unlock()
+	m.mu.Lock()
+	m.drainReleasesLocked()
+	m.applyDeparturesLocked()
+	m.settleQuarantineLocked(time.Now())
+	util := m.st.Utilization()
+	lastEngine := m.lastEngine
+	faulty := len(m.failed)
+	quarantined := len(m.quar)
+	capacity := 1.0
+	if total := m.st.ChannelCount(); total > 0 {
+		capacity = float64(total-m.st.FailedCount()) / float64(total)
 	}
+	m.mu.Unlock()
 	depth := int(m.qdepth.Load())
 	size := distOf(m.epochSize.snapshot())
 	lat := distOf(m.epochLat.snapshot())
@@ -279,12 +195,7 @@ func (m *Manager) Stats() Stats {
 		EpochSize:      size,
 		EpochLatencyMS: lat,
 
-		SequentialEpochs:  m.seqEpochs.Load(),
-		ParallelEpochs:    m.parEpochs.Load(),
-		ParallelThreshold: m.parThreshold,
-		ParallelWorkers:   parWorkers(m.par),
-		ParallelMode:      parMode(m.par),
-		LastEpochEngine:   lastEngine,
+		LastEpochEngine: lastEngine,
 
 		Revoked:          m.revoked.Load(),
 		Repaired:         m.repaired.Load(),
@@ -309,21 +220,4 @@ func (m *Manager) Stats() Stats {
 		EstablishedRoutes: m.establishedRoutes.Load(),
 		RouteChurn:        churn,
 	}
-}
-
-func parWorkers(e *parsched.Engine) int {
-	if e == nil {
-		return 0
-	}
-	return e.Workers()
-}
-
-func parMode(e *parsched.Engine) string {
-	if e == nil {
-		return ""
-	}
-	if e.Mode() == parsched.Shard && e.Steal() {
-		return "shard+steal"
-	}
-	return e.Mode().String()
 }

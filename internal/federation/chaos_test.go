@@ -21,14 +21,22 @@ import (
 // router's loss counter agrees with, and every plane drains to zero
 // active circuits and zero occupied channels. Run under -race in CI.
 func TestChaosPlaneKillAccounting(t *testing.T) {
-	cfg := Config{Policy: PolicyRoundRobin}
+	// The run must migrate circuits, and two timing effects can stop it.
+	// At this load, streaks of unroutable denials open health breakers on
+	// their own — the victim's before the kill, or every survivor's
+	// before the migrations — so ejection is held off (a huge streak, a
+	// frozen score); KillPlane ejects its victim explicitly either way.
+	// And owners churning their circuits release a revoked one before a
+	// slow repair loop gives up on it, so one repair attempt is allowed:
+	// the revoked circuits die in the first epoch after the kill.
+	cfg := Config{Policy: PolicyRoundRobin, EjectAfter: 1 << 30, HealthAlpha: 1e-9}
 	for i := 0; i < 3; i++ {
 		cfg.Planes = append(cfg.Planes, PlaneConfig{
 			Fabric: fabric.Config{
 				Tree:          topology.MustNew(3, 4, 4),
 				BatchSize:     8,
 				MaxWait:       100 * time.Microsecond,
-				RepairRetries: 2,
+				RepairRetries: 1,
 				RepairBackoff: time.Millisecond,
 			},
 		})

@@ -29,14 +29,15 @@ type PlaneSpec struct {
 	Width  int `json:"width"`
 	// Scheduler is an internal/sched registry spec (e.g.
 	// "level-wise,rollback", "backtrack,depth=2"); empty means the
-	// fabric default.
+	// fabric default. It is the only way to pick a plane's engine:
+	// "parallel,mode=shard,workers=8,steal" for the parallel engine,
+	// "level-wise,rollback,incremental,reuse-cost=4" for delta epochs.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Queue/ring knobs; zero means the fabric default.
+	// Queue knobs; zero means the fabric default.
 	BatchSize    int    `json:"batch_size,omitempty"`
 	MaxWait      string `json:"max_wait,omitempty"`
 	QueueLimit   int    `json:"queue_limit,omitempty"`
 	AdmitTimeout string `json:"admit_timeout,omitempty"`
-	ReleaseRing  int    `json:"release_ring,omitempty"`
 	// Repair-loop knobs; zero means the fabric default.
 	RepairRetries int    `json:"repair_retries,omitempty"`
 	RepairBackoff string `json:"repair_backoff,omitempty"`
@@ -50,28 +51,6 @@ type PlaneSpec struct {
 	QuarantineProbation string  `json:"quarantine_probation,omitempty"`
 	RepairBudgetRate    float64 `json:"repair_budget_rate,omitempty"`
 	RepairBudgetBurst   int     `json:"repair_budget_burst,omitempty"`
-	// Parallel-engine knobs (see fabric.Config). ParallelMode selects
-	// deterministic, racy, or shard arbitration; ParallelSteal enables
-	// work stealing (shard mode only).
-	ParallelThreshold int    `json:"parallel_threshold,omitempty"`
-	ParallelWorkers   int    `json:"parallel_workers,omitempty"`
-	ParallelRacy      bool   `json:"parallel_racy,omitempty"`
-	ParallelMode      string `json:"parallel_mode,omitempty"`
-	ParallelSteal     bool   `json:"parallel_steal,omitempty"`
-	// Incremental/ReuseCost map to fabric.Config: delta epochs with
-	// carry-forward grants, and the reconfiguration-cost-aware port
-	// score. reuse_cost requires incremental (or name both in the
-	// scheduler spec instead, e.g. "levelwise,incremental,reuse-cost=4").
-	Incremental bool `json:"incremental,omitempty"`
-	ReuseCost   int  `json:"reuse_cost,omitempty"`
-	// Admission-pipeline knobs (fabric.Config). DeliveryPipeline sizes
-	// the verdict-delivery worker's spare buffers (0 = default on,
-	// negative = synchronous delivery); DrainWorker dedicates a
-	// goroutine to release-ring retirement (requires the ring);
-	// StatsSnapshots serves Stats from the lock-free seqlock snapshot.
-	DeliveryPipeline int  `json:"delivery_pipeline,omitempty"`
-	DrainWorker      bool `json:"drain_worker,omitempty"`
-	StatsSnapshots   bool `json:"stats_snapshots,omitempty"`
 	// Weight biases plane-selection toward this plane under the hash and
 	// least-loaded policies (a weight-2 plane draws roughly twice the
 	// traffic of a weight-1 plane). Zero or omitted means 1; round-robin
@@ -231,35 +210,6 @@ func (fc *FileConfig) Validate() error {
 		if ps.RepairBudgetRate == 0 && ps.RepairBudgetBurst > 0 {
 			return fmt.Errorf("federation: %s: repair_budget_burst %d without a repair_budget_rate", where, ps.RepairBudgetBurst)
 		}
-		switch ps.ParallelMode {
-		case "", "deterministic", "racy", "shard":
-		default:
-			return fmt.Errorf("federation: %s: unknown parallel_mode %q (want deterministic|racy|shard)", where, ps.ParallelMode)
-		}
-		if ps.ParallelSteal && ps.ParallelMode != "shard" {
-			return fmt.Errorf("federation: %s: parallel_steal requires parallel_mode \"shard\"", where)
-		}
-		if ps.ReuseCost < 0 {
-			return fmt.Errorf("federation: %s: negative reuse_cost %d", where, ps.ReuseCost)
-		}
-		if ps.ReuseCost > 0 && !ps.Incremental {
-			return fmt.Errorf("federation: %s: reuse_cost requires incremental", where)
-		}
-		if ps.ReuseCost > 0 && ps.Scheduler != "" {
-			return fmt.Errorf("federation: %s: reuse_cost applies to the default engine; put reuse-cost in the scheduler spec", where)
-		}
-		if ps.Incremental && ps.Scheduler != "" {
-			eng, err := sched.Parse(ps.Scheduler)
-			if err != nil {
-				return fmt.Errorf("federation: %s: %w", where, err)
-			}
-			if _, ok := sched.AsIncremental(eng); !ok {
-				return fmt.Errorf("federation: %s: incremental requires a scheduler with the delta-epoch capability (%s has none)", where, eng.Name())
-			}
-		}
-		if ps.DrainWorker && ps.ReleaseRing < 0 {
-			return fmt.Errorf("federation: %s: drain_worker requires the release ring (release_ring >= 0)", where)
-		}
 		if ps.Weight < 0 {
 			return fmt.Errorf("federation: %s: negative weight %v", where, ps.Weight)
 		}
@@ -303,23 +253,12 @@ func (fc *FileConfig) Build() (Config, error) {
 				MaxWait:             maxWait,
 				QueueLimit:          ps.QueueLimit,
 				AdmitTimeout:        admit,
-				ReleaseRing:         ps.ReleaseRing,
 				RepairRetries:       ps.RepairRetries,
 				RepairBackoff:       backoff,
 				FlapThreshold:       ps.FlapThreshold,
 				FlapHalfLife:        halfLife,
 				QuarantineProbation: probation,
 				RepairBudget:        fabric.Budget{Rate: ps.RepairBudgetRate, Burst: ps.RepairBudgetBurst},
-				ParallelThreshold:   ps.ParallelThreshold,
-				ParallelWorkers:     ps.ParallelWorkers,
-				ParallelRacy:        ps.ParallelRacy,
-				ParallelMode:        ps.ParallelMode,
-				ParallelSteal:       ps.ParallelSteal,
-				Incremental:         ps.Incremental,
-				ReuseCost:           ps.ReuseCost,
-				DeliveryPipeline:    ps.DeliveryPipeline,
-				DrainWorker:         ps.DrainWorker,
-				StatsSnapshots:      ps.StatsSnapshots,
 			},
 		})
 	}

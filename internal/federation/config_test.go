@@ -67,15 +67,14 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigWeightRoundTrip: per-plane weight and parallel-engine mode
-// fields survive gen → write → load → build and land on the runtime
-// PlaneConfig / fabric.Config.
+// TestConfigWeightRoundTrip: per-plane weight and a parallel-engine
+// scheduler spec survive gen → write → load → build and land on the
+// runtime PlaneConfig / fabric.Config.
 func TestConfigWeightRoundTrip(t *testing.T) {
+	const parSpec = "parallel,mode=shard,workers=2,steal"
 	fc := Generate(2, 2, 4, 2, "", "hash")
 	fc.Planes[0].Weight = 3
-	fc.Planes[1].ParallelThreshold = 4
-	fc.Planes[1].ParallelMode = "shard"
-	fc.Planes[1].ParallelSteal = true
+	fc.Planes[1].Scheduler = parSpec
 
 	var buf bytes.Buffer
 	if err := fc.Write(&buf); err != nil {
@@ -88,8 +87,8 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	if got.Planes[0].Weight != 3 || got.Planes[1].Weight != 0 {
 		t.Fatalf("weights mangled: %+v", got.Planes)
 	}
-	if got.Planes[1].ParallelMode != "shard" || !got.Planes[1].ParallelSteal {
-		t.Fatalf("parallel fields mangled: %+v", got.Planes[1])
+	if got.Planes[1].Scheduler != parSpec {
+		t.Fatalf("parallel spec mangled: %+v", got.Planes[1])
 	}
 
 	cfg, err := got.Build()
@@ -99,9 +98,8 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	if cfg.Planes[0].Weight != 3 || cfg.Planes[1].Weight != 0 {
 		t.Errorf("built weights: %v, %v", cfg.Planes[0].Weight, cfg.Planes[1].Weight)
 	}
-	f := cfg.Planes[1].Fabric
-	if f.ParallelMode != "shard" || !f.ParallelSteal || f.ParallelThreshold != 4 {
-		t.Errorf("built fabric parallel knobs: %+v", f)
+	if f := cfg.Planes[1].Fabric; f.SchedulerSpec != parSpec {
+		t.Errorf("built fabric scheduler spec: %q", f.SchedulerSpec)
 	}
 
 	// The built config constructs a live router whose runtime weights
@@ -117,13 +115,13 @@ func TestConfigWeightRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigIncrementalRoundTrip: the delta-epoch knobs survive
-// write → load → build, land on fabric.Config, and construct a live
-// incremental plane.
+// TestConfigIncrementalRoundTrip: delta-epoch scheduler specs survive
+// write → load → build, land on fabric.Config, and construct live
+// incremental planes.
 func TestConfigIncrementalRoundTrip(t *testing.T) {
+	const reuseSpec = "level-wise,rollback,incremental,reuse-cost=4"
 	fc := Generate(2, 2, 4, 2, "", "hash")
-	fc.Planes[0].Incremental = true
-	fc.Planes[0].ReuseCost = 4
+	fc.Planes[0].Scheduler = reuseSpec
 	fc.Planes[1].Scheduler = "levelwise,incremental"
 
 	var buf bytes.Buffer
@@ -134,16 +132,15 @@ func TestConfigIncrementalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Planes[0].Incremental || got.Planes[0].ReuseCost != 4 {
-		t.Fatalf("incremental fields mangled: %+v", got.Planes[0])
+	if got.Planes[0].Scheduler != reuseSpec {
+		t.Fatalf("incremental spec mangled: %+v", got.Planes[0])
 	}
 	cfg, err := got.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := cfg.Planes[0].Fabric
-	if !f.Incremental || f.ReuseCost != 4 {
-		t.Fatalf("built fabric incremental knobs: %+v", f)
+	if f := cfg.Planes[0].Fabric; f.SchedulerSpec != reuseSpec {
+		t.Fatalf("built fabric scheduler spec: %q", f.SchedulerSpec)
 	}
 	r, err := New(cfg)
 	if err != nil {
@@ -162,6 +159,9 @@ func TestConfigIncrementalRoundTrip(t *testing.T) {
 			t.Errorf("plane %d not incremental: %+v", i, s)
 		}
 	}
+	if s := r.planes[0].surf.Stats(); s.ReuseCost != 4 {
+		t.Errorf("plane 0 reuse-cost = %d, want 4", s.ReuseCost)
+	}
 }
 
 func TestConfigValidationErrors(t *testing.T) {
@@ -176,12 +176,13 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"node mismatch", `{"planes":[{"levels":2,"arity":2,"width":1},{"name":"b","levels":2,"arity":4,"width":1}]}`, "b serves"},
 		{"unknown field", `{"plains":[]}`, "unknown field"},
 		{"negative weight", `{"planes":[{"levels":2,"arity":2,"width":1,"weight":-1}]}`, "negative weight"},
-		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"parallel_mode":"sharded"}]}`, "parallel_mode"},
-		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"parallel_steal":true}]}`, "parallel_steal requires"},
-		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"reuse_cost":-2}]}`, "negative reuse_cost"},
-		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"reuse_cost":2}]}`, "reuse_cost requires incremental"},
-		{"reuse_cost with scheduler", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"reuse_cost":2,"scheduler":"level-wise"}]}`, "put reuse-cost in the scheduler spec"},
-		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"incremental":true,"scheduler":"optimal"}]}`, "delta-epoch capability"},
+		// Engine choice lives in the scheduler spec alone, so a bad
+		// parallel or delta-epoch request fails through sched.Parse.
+		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=sharded"}]}`, "invalid mode"},
+		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=racy,steal"}]}`, "steal requires mode=shard"},
+		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,incremental,reuse-cost=-2"}]}`, "invalid reuse-cost"},
+		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,reuse-cost=2"}]}`, "requires the incremental flag"},
+		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"optimal,incremental"}]}`, "unknown parameter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +201,37 @@ func TestConfigValidationErrors(t *testing.T) {
 	var empty FileConfig
 	if err := empty.Validate(); !errors.Is(err, ErrNoPlanes) {
 		t.Errorf("empty config: %v, want ErrNoPlanes", err)
+	}
+}
+
+// TestConfigRemovedKeysFailLoudly: a config file written for a build
+// that still had the per-plane engine and pipeline knobs must fail to
+// load with an error naming the key — never load and silently run
+// different machinery than the file asks for.
+func TestConfigRemovedKeysFailLoudly(t *testing.T) {
+	for _, kv := range []string{
+		`"drain_worker": true`,
+		`"parallel_threshold": 8`,
+		`"parallel_workers": 4`,
+		`"parallel_racy": true`,
+		`"parallel_mode": "shard"`,
+		`"parallel_steal": true`,
+		`"incremental": true`,
+		`"reuse_cost": 4`,
+		`"release_ring": 64`,
+		`"delivery_pipeline": 2`,
+		`"stats_snapshots": true`,
+	} {
+		key, _, _ := strings.Cut(kv, ":")
+		js := `{"planes":[{"levels":2,"arity":2,"width":1,` + kv + `}]}`
+		_, err := Load(strings.NewReader(js))
+		if err == nil {
+			t.Errorf("config with removed key %s loaded", key)
+			continue
+		}
+		if !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), key) {
+			t.Errorf("removed key %s: error %q does not name it as an unknown field", key, err)
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ type Engine interface {
 	// engines without a zero-allocation path fall back to Schedule.
 	ScheduleInto(st *linkstate.State, reqs []core.Request, sc *core.Scratch) *core.Result
 	// Unwrap returns the underlying scheduler for callers that need a
-	// concrete type (internal/fabric mirrors *core.LevelWise options
-	// into its parallel engine; stats inspect *parsched.Engine).
+	// concrete type (internal/fabric reads a *core.LevelWise's
+	// incremental flag to choose delta epochs).
 	Unwrap() core.Scheduler
 }
 
