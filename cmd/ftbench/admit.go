@@ -47,49 +47,12 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// latRing retains the most recent admission-latency samples of one
-// client, in microseconds. Fixed capacity, preallocated: recording must
-// not allocate mid-run, or the allocs/op column would measure the
-// harness instead of the fabric.
-type latRing struct {
-	buf  []float64
-	n    int // valid samples
-	next int // write cursor
-}
-
-func (r *latRing) add(us float64) {
-	r.buf[r.next] = us
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// latRecorder is one lane per client, so recording is contention-free;
-// dist merges the lanes after the run.
-type latRecorder struct {
-	lanes []latRing
-}
-
-// latSamplesPerClient bounds each client's retained samples; percentiles
-// summarize the most recent window, which is the steady state.
-const latSamplesPerClient = 4096
-
-func newLatRecorder(clients int) *latRecorder {
-	lr := &latRecorder{lanes: make([]latRing, clients)}
-	for i := range lr.lanes {
-		lr.lanes[i].buf = make([]float64, latSamplesPerClient)
-	}
-	return lr
-}
-
-// record stores one Connect round-trip for client id.
-func (lr *latRecorder) record(id int, d time.Duration) {
-	lr.lanes[id].add(float64(d) / float64(time.Microsecond))
-}
-
-// admitDist summarizes the merged admission-latency samples, in
-// microseconds — the tail-latency fields every sweep mode emits.
+// admitDist summarizes Connect round-trip times, in microseconds — the
+// tail-latency fields every sweep mode emits. The closed loops record
+// into one stats.Hist shared by every client: a few atomic adds that
+// never allocate, so the allocs/op column measures the fabric and not
+// the harness. The percentiles carry stats.Hist's bucket error (under
+// stats.HistRelErr, about 3%).
 type admitDist struct {
 	N          int     `json:"admit_samples,omitempty"`
 	AdmitP50us float64 `json:"admit_p50_us"`
@@ -97,25 +60,17 @@ type admitDist struct {
 	AdmitP99us float64 `json:"admit_p99_us"`
 }
 
-// dist merges every lane and computes the percentiles. A nil recorder
-// yields the zero dist, so call sites can thread "no recording" through.
-func (lr *latRecorder) dist() admitDist {
-	if lr == nil {
-		return admitDist{}
-	}
-	var merged []float64
-	for i := range lr.lanes {
-		r := &lr.lanes[i]
-		merged = append(merged, r.buf[:r.n]...)
-	}
-	if len(merged) == 0 {
+// admitDistOf summarizes a run's admission latencies.
+func admitDistOf(lat *stats.Hist) admitDist {
+	s := lat.Snapshot()
+	if s.N == 0 {
 		return admitDist{}
 	}
 	return admitDist{
-		N:          len(merged),
-		AdmitP50us: stats.Percentile(merged, 50),
-		AdmitP95us: stats.Percentile(merged, 95),
-		AdmitP99us: stats.Percentile(merged, 99),
+		N:          int(s.N),
+		AdmitP50us: s.Quantile(50),
+		AdmitP95us: s.Quantile(95),
+		AdmitP99us: s.Quantile(99),
 	}
 }
 
@@ -226,11 +181,11 @@ func admitPoint(tree *topology.Tree, cfg admitBenchConfig, epoch, clients int) (
 		MaxWait: cfg.MaxWait, Duration: cfg.Duration, Seed: cfg.Seed,
 		Timeout: cfg.Timeout,
 	}
-	rec := newLatRecorder(clients)
+	var lat stats.Hist
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	counts, elapsed, loopErr := closedLoop(fab, tree, lcfg, false, rec)
+	counts, elapsed, loopErr := closedLoop(fab, tree, lcfg, false, &lat)
 	runtime.ReadMemStats(&after)
 	s := fab.Stats()
 	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
@@ -250,6 +205,6 @@ func admitPoint(tree *topology.Tree, cfg admitBenchConfig, epoch, clients int) (
 		AdmissionsPerSec: perSec,
 		NsPerOp:          1e9 / perSec,
 		AllocsPerOp:      float64(after.Mallocs-before.Mallocs) / float64(ops),
-		admitDist:        rec.dist(),
+		admitDist:        admitDistOf(&lat),
 	}, nil
 }

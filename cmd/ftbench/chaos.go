@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -142,8 +143,8 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 		}()
 	}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, rec)
+	var lat stats.Hist
+	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, &lat)
 	close(stop)
 	injWg.Wait()
 	s := fab.Stats()
@@ -153,5 +154,5 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 	if loopErr != nil {
 		return chaosResult{}, loopErr
 	}
-	return chaosResult{Rate: p, Counts: counts, Elapsed: elapsed, Stats: s, Admit: rec.dist()}, nil
+	return chaosResult{Rate: p, Counts: counts, Elapsed: elapsed, Stats: s, Admit: admitDistOf(&lat)}, nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -66,10 +67,9 @@ func (c loopCounts) schedulability() float64 {
 // server fails the run instead of hanging. With chaotic=true (faults
 // being injected mid-run) timeouts are counted and revocation-related
 // release errors are tolerated, since both are expected degraded-mode
-// outcomes. A non-nil rec captures per-Connect wall time (the admission
-// round-trip each client observes) for tail-latency reporting; it must
-// have at least cfg.Clients lanes.
-func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig, chaotic bool, rec *latRecorder) (loopCounts, time.Duration, error) {
+// outcomes. lat records every Connect's wall time in microseconds (the
+// admission round-trip each client observes) for tail-latency reporting.
+func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig, chaotic bool, lat *stats.Hist) (loopCounts, time.Duration, error) {
 	var admitted, denied, timedOut atomic.Uint64
 	deadline := time.Now().Add(cfg.Duration)
 	errs := make([]error, cfg.Clients)
@@ -98,14 +98,9 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig,
 					held = held[1:]
 				}
 				src, dst := rng.Intn(tree.Nodes()), rng.Intn(tree.Nodes())
-				var began time.Time
-				if rec != nil {
-					began = time.Now()
-				}
+				began := time.Now()
 				h, err := fab.Connect(context.Background(), src, dst)
-				if rec != nil {
-					rec.record(id, time.Since(began))
-				}
+				lat.Record(float64(time.Since(began)) / float64(time.Microsecond))
 				switch {
 				case err == nil:
 					admitted.Add(1)
@@ -149,8 +144,8 @@ func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
 		return err
 	}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg, false, rec)
+	var lat stats.Hist
+	counts, elapsed, loopErr := closedLoop(fab, tree, cfg, false, &lat)
 	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
 		loopErr = err
 	}
@@ -159,7 +154,7 @@ func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
 	}
 
 	s := fab.Stats()
-	ad := rec.dist()
+	ad := admitDistOf(&lat)
 	fmt.Fprintf(out, "fabric %s  clients=%d epoch=%d maxwait=%s open=%d duration=%s\n",
 		tree, cfg.Clients, cfg.Batch, cfg.MaxWait, cfg.Open, cfg.Duration)
 	fmt.Fprintf(out, "  admissions/sec %.0f  (offered %d, granted %d, rejected %d, blocking %.2f%%)\n",

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/federation"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -67,9 +68,9 @@ type fedResult struct {
 }
 
 // closedLoopFederation is closedLoop against a federation router: the
-// same churn model, counting grants and scheduler denials. A non-nil
-// rec captures per-Connect wall time for tail-latency reporting.
-func closedLoopFederation(r *federation.Router, cfg fabricBenchConfig, rec *latRecorder) (loopCounts, time.Duration, error) {
+// same churn model, counting grants and scheduler denials. lat records
+// every Connect's wall time in microseconds.
+func closedLoopFederation(r *federation.Router, cfg fabricBenchConfig, lat *stats.Hist) (loopCounts, time.Duration, error) {
 	var admitted, denied atomic.Uint64
 	deadline := time.Now().Add(cfg.Duration)
 	nodes := r.Nodes()
@@ -97,14 +98,9 @@ func closedLoopFederation(r *federation.Router, cfg fabricBenchConfig, rec *latR
 					held = held[1:]
 				}
 				src, dst := rng.Intn(nodes), rng.Intn(nodes)
-				var began time.Time
-				if rec != nil {
-					began = time.Now()
-				}
+				began := time.Now()
 				h, err := r.Connect(context.Background(), src, dst)
-				if rec != nil {
-					rec.record(id, time.Since(began))
-				}
+				lat.Record(float64(time.Since(began)) / float64(time.Microsecond))
 				switch {
 				case err == nil:
 					admitted.Add(1)
@@ -191,8 +187,8 @@ func federationBench(out io.Writer, cfg fedBenchConfig) error {
 		if err != nil {
 			return err
 		}
-		rec := newLatRecorder(cfg.Clients)
-		counts, elapsed, loopErr := closedLoopFederation(r, cfg.fabricBenchConfig, rec)
+		var lat stats.Hist
+		counts, elapsed, loopErr := closedLoopFederation(r, cfg.fabricBenchConfig, &lat)
 		s := r.Stats()
 		if err := r.Close(context.Background()); err != nil && loopErr == nil {
 			loopErr = err
@@ -213,7 +209,7 @@ func federationBench(out io.Writer, cfg fedBenchConfig) error {
 		res.GrantsPerSec = float64(counts.admitted) / elapsed.Seconds()
 		res.Schedulability = counts.schedulability()
 		res.Imbalance = s.Imbalance
-		res.Admit = rec.dist()
+		res.Admit = admitDistOf(&lat)
 		perPlane := make([]string, len(s.Planes))
 		for j, ps := range s.Planes {
 			res.PerPlane = append(res.PerPlane, planeGrants{Name: ps.Name, Grants: ps.Grants})

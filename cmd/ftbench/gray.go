@@ -33,6 +33,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/federation"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -260,8 +261,8 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 		}()
 	}
 
-	rec := newLatRecorder(cfg.Clients)
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, rec)
+	var lat stats.Hist
+	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, &lat)
 	close(stop)
 	injWg.Wait()
 	if loopErr != nil {
@@ -315,7 +316,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 		RepairedOnHeldTrunk: s.RepairedOnHeldTrunk,
 		ChurnPerEpoch:       float64(s.TornRoutes) / float64(max64(s.Epochs, 1)),
 		ElapsedSec:          total.Seconds(),
-		admitDist:           rec.dist(),
+		admitDist:           admitDistOf(&lat),
 	}
 	if s.Repaired > 0 {
 		arm.HeldTrunkFraction = float64(s.RepairedOnHeldTrunk) / float64(s.Repaired)

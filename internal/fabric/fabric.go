@@ -54,6 +54,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/linkstate"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -336,7 +337,15 @@ func (h *Handle) Ports() []int {
 // Err reports why the connection died: ErrUnroutableDegraded after the
 // repair loop gave up, ErrClosed if the manager shut down mid-repair,
 // nil while the handle is alive (active or repairing).
+//
+// A live handle answers from the atomic state without touching m.mu, so
+// the federation's post-grant check never queues behind an epoch. Only
+// a dead handle takes the lock: killRepairLocked stores repairErr under
+// it, so once the lock is ours the cause is there to read.
 func (h *Handle) Err() error {
+	if h.state.Load() != handleDead {
+		return nil
+	}
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
 	return h.repairErr
@@ -480,13 +489,13 @@ type Manager struct {
 	tornRoutes        atomic.Uint64
 	establishedRoutes atomic.Uint64
 
-	// Histogram stripes: recording locks one stripe, Stats snapshots
-	// stripes one at a time and summarizes outside every lock.
-	epochSize   *shardedRing
-	epochLat    *shardedRing
-	repairLat   *shardedRing // revoke → successful re-admission, milliseconds
-	repairDepth *shardedRing // scheduling attempts per successful repair
-	routeChurn  *shardedRing // routes torn + established, per scheduling epoch
+	// Distributions: lock-free log-bucket histograms, recorded with a few
+	// atomic adds and summarized by Stats in O(buckets).
+	epochSize   stats.Hist
+	epochLat    stats.Hist
+	repairLat   stats.Hist // revoke → successful re-admission, milliseconds
+	repairDepth stats.Hist // scheduling attempts per successful repair
+	routeChurn  stats.Hist // routes torn + established, per scheduling epoch
 }
 
 // New validates the config, applies defaults, and starts the manager's
@@ -565,25 +574,20 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
 	}
 	m := &Manager{
-		cfg:         cfg,
-		eng:         eng,
-		scratch:     core.NewScratch(),
-		slotsCh:     make(chan struct{}, 1),
-		kick:        make(chan struct{}, 1),
-		closing:     make(chan struct{}),
-		done:        make(chan struct{}),
-		st:          newTrackedState(cfg.Tree),
-		conns:       make(map[*Handle]struct{}),
-		failed:      make(map[faults.Channel]struct{}),
-		flap:        make(map[faults.Channel]*flapScore),
-		quar:        make(map[faults.Channel]time.Time),
-		budget:      newBucket(cfg.RepairBudget, time.Now()),
-		relRing:     newReleaseRing(ringSize),
-		epochSize:   newShardedRing(4096),
-		epochLat:    newShardedRing(4096),
-		repairLat:   newShardedRing(4096),
-		repairDepth: newShardedRing(4096),
-		routeChurn:  newShardedRing(4096),
+		cfg:     cfg,
+		eng:     eng,
+		scratch: core.NewScratch(),
+		slotsCh: make(chan struct{}, 1),
+		kick:    make(chan struct{}, 1),
+		closing: make(chan struct{}),
+		done:    make(chan struct{}),
+		st:      newTrackedState(cfg.Tree),
+		conns:   make(map[*Handle]struct{}),
+		failed:  make(map[faults.Channel]struct{}),
+		flap:    make(map[faults.Channel]*flapScore),
+		quar:    make(map[faults.Channel]time.Time),
+		budget:  newBucket(cfg.RepairBudget, time.Now()),
+		relRing: newReleaseRing(ringSize),
 	}
 	// Delta-epoch mode is exactly a level-wise engine carrying the
 	// incremental flag (core.LevelWise implements ScheduleDeltaInto).
@@ -1176,15 +1180,15 @@ func (m *Manager) flushLocked() *delbatch {
 	}
 	b.d = dels
 	latMS := float64(time.Since(live[0].enq)) / float64(time.Millisecond)
-	m.epochSize.add(float64(len(live)))
-	m.epochLat.add(latMS)
+	m.epochSize.Record(float64(len(live)))
+	m.epochLat.Record(latMS)
 	// One route-churn sample per scheduling epoch: routes torn down since
 	// the last one (releases, revocations, delta departures) plus routes
 	// established by this pass. This is the reconfiguration cost the
 	// incremental mode minimizes — batch mode records it too, so the two
 	// are directly comparable.
 	m.establishedRoutes.Add(uint64(established))
-	m.routeChurn.add(float64(m.tornSinceEpoch + established))
+	m.routeChurn.Record(float64(m.tornSinceEpoch + established))
 	m.tornSinceEpoch = 0
 	// Drop ticket references from the reused buffer; the deliveries carry
 	// them the rest of the way.

@@ -223,13 +223,15 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// gatedScheduler blocks its first Schedule call until released, letting
-// tests hold the flusher (and the manager lock) mid-epoch.
+// gatedScheduler lets its first pass Schedule calls through, then blocks
+// the next one until released, letting tests hold the flusher (and the
+// manager lock) mid-epoch.
 type gatedScheduler struct {
 	inner    core.Scheduler
 	entered  chan struct{}
 	released chan struct{}
 	once     sync.Once
+	pass     int // epochs to schedule before gating; read under m.mu
 }
 
 func newGatedScheduler() *gatedScheduler {
@@ -243,11 +245,57 @@ func newGatedScheduler() *gatedScheduler {
 func (g *gatedScheduler) Name() string { return "gated/" + g.inner.Name() }
 
 func (g *gatedScheduler) Schedule(st *linkstate.State, reqs []core.Request) *core.Result {
+	if g.pass > 0 {
+		g.pass--
+		return g.inner.Schedule(st, reqs)
+	}
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.released
 	})
 	return g.inner.Schedule(st, reqs)
+}
+
+// TestHandleErrLockFree holds an epoch open at the gate — the manager
+// lock with it — and checks that Err on a live handle still answers at
+// once: the federation's post-grant check must never queue behind an
+// epoch. (A dead handle still reports its cause; the fault tests pin
+// that.)
+func TestHandleErrLockFree(t *testing.T) {
+	tree := topology.MustNew(2, 4, 4)
+	gate := newGatedScheduler()
+	gate.pass = 1 // grant h, then hold the next epoch
+	m, err := New(Config{Tree: tree, Scheduler: gate, BatchSize: 1, MaxWait: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Connect(context.Background(), 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := m.Connect(context.Background(), 1, 6)
+		parked <- err
+	}()
+	<-gate.entered
+	got := make(chan error, 1)
+	go func() { got <- h.Err() }()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Errorf("Err on an active handle = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Err blocked behind the epoch holding the manager lock")
+	}
+	close(gate.released)
+	if err := <-parked; err != nil {
+		t.Errorf("gated connect: %v", err)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAdmitTimeout parks a request in an unflushable epoch and checks

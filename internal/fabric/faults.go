@@ -294,8 +294,8 @@ func (m *Manager) repairVerdictLocked(t *ticket, o *core.Outcome, epoch uint64) 
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(Event{Kind: EventRepair, Src: h.src, Dst: h.dst, Ports: o.Ports, FailLevel: -1, Epoch: epoch})
 		}
-		m.repairLat.add(float64(time.Since(h.revokedAt)) / float64(time.Millisecond))
-		m.repairDepth.add(float64(h.attempts + 1))
+		m.repairLat.Record(float64(time.Since(h.revokedAt)) / float64(time.Millisecond))
+		m.repairDepth.Record(float64(h.attempts + 1))
 		return
 	}
 	if len(o.Ports) > 0 {

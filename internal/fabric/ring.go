@@ -1,17 +1,11 @@
 package fabric
 
-// Lock-decoupled hot-path structures. The release ring keeps Release
-// off the manager mutex entirely: an owner parks its handle with one
-// CAS and the flusher retires it at the next epoch boundary, where the
-// freed channels are visible to the very next scheduling pass. The
-// sharded histogram rings keep stats recording and the Stats snapshot
-// from serializing against each other: recording locks one stripe, and
-// the expensive percentile pass runs outside every lock.
+// The lock-free release ring keeps Release off the manager mutex
+// entirely: an owner parks its handle with one CAS and the flusher
+// retires it at the next epoch boundary, where the freed channels are
+// visible to the very next scheduling pass.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // releaseRing is a bounded multi-producer single-consumer queue of
 // released handles. Producers (the Release fast path) claim a slot with
@@ -71,54 +65,4 @@ func (r *releaseRing) pop() *Handle {
 	s.Store(nil)
 	r.head.Store(head + 1)
 	return h
-}
-
-// histShards is the stripe count of a shardedRing. Four stripes are
-// plenty: the writers are the flusher and the repair verdicts, and the
-// point is that a Stats snapshot never holds more than one stripe at a
-// time.
-const histShards = 4
-
-// shardedRing is a sample distribution striped across histShards
-// independently locked rings. add locks one stripe chosen round-robin;
-// snapshot copies stripes one at a time, so summarizing (sorting,
-// percentiles) in distOf happens outside every lock and recording is
-// never blocked behind a slow snapshot.
-type shardedRing struct {
-	next  atomic.Uint64
-	shard [histShards]struct {
-		mu sync.Mutex
-		r  ring
-	}
-}
-
-// newShardedRing splits the capacity evenly across the stripes.
-func newShardedRing(capacity int) *shardedRing {
-	s := &shardedRing{}
-	per := (capacity + histShards - 1) / histShards
-	for i := range s.shard {
-		s.shard[i].r = newRing(per)
-	}
-	return s
-}
-
-// add records one observation in the next stripe.
-func (s *shardedRing) add(x float64) {
-	sh := &s.shard[s.next.Add(1)%histShards]
-	sh.mu.Lock()
-	sh.r.add(x)
-	sh.mu.Unlock()
-}
-
-// snapshot merges the retained samples of every stripe. The merged
-// order is not chronological; distOf sorts where order matters.
-func (s *shardedRing) snapshot() []float64 {
-	var out []float64
-	for i := range s.shard {
-		sh := &s.shard[i]
-		sh.mu.Lock()
-		out = append(out, sh.r.samples()...)
-		sh.mu.Unlock()
-	}
-	return out
 }

@@ -6,38 +6,12 @@ import (
 	"repro/internal/stats"
 )
 
-// ring is a fixed-capacity sample buffer keeping the most recent
-// observations; distributions in Stats summarize its contents.
-type ring struct {
-	buf  []float64
-	n    int // valid samples
-	next int // write cursor
-}
-
-func newRing(capacity int) ring { return ring{buf: make([]float64, capacity)} }
-
-func (r *ring) add(x float64) {
-	r.buf[r.next] = x
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// samples returns the retained observations, oldest first.
-func (r *ring) samples() []float64 {
-	out := make([]float64, r.n)
-	if r.n < len(r.buf) {
-		copy(out, r.buf[:r.n])
-		return out
-	}
-	copy(out, r.buf[r.next:])
-	copy(out[len(r.buf)-r.next:], r.buf[:r.next])
-	return out
-}
-
-// Dist summarizes a sample distribution for Stats: the internal/stats
-// Summary plus percentiles and an 8-bin histogram over [Min, Max].
+// Dist summarizes one of the manager's stats.Hist distributions. The
+// window is cumulative — every sample since New — and the moments and
+// extremes are exact, while the percentiles and the 8-bin histogram over
+// [Min, Max] carry the bucket error of stats.Hist: never above the exact
+// nearest-rank value and below it by less than stats.HistRelErr
+// (about 3.1%); integer samples below 64 are exact.
 type Dist struct {
 	N      int     `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -50,18 +24,21 @@ type Dist struct {
 	Hist   []int   `json:"hist,omitempty"`
 }
 
-func distOf(xs []float64) Dist {
-	s := stats.Summarize(xs)
-	d := Dist{N: s.N, Mean: s.Mean, Min: s.Min, Max: s.Max, StdDev: s.StdDev}
-	if s.N > 0 {
-		d.P50 = stats.Percentile(xs, 50)
-		d.P95 = stats.Percentile(xs, 95)
-		d.P99 = stats.Percentile(xs, 99)
+// HistDist summarizes a histogram snapshot — one of the manager's, or a
+// merge of several planes'. Every field is O(buckets): no samples are
+// retained and nothing is sorted.
+func HistDist(s *stats.HistSnapshot) Dist {
+	return Dist{
+		N:      int(s.N),
+		Mean:   s.Mean(),
+		Min:    s.Min,
+		Max:    s.Max,
+		StdDev: s.StdDev(),
+		P50:    s.Quantile(50),
+		P95:    s.Quantile(95),
+		P99:    s.Quantile(99),
+		Hist:   s.Bins(8),
 	}
-	if s.N > 1 && s.Max > s.Min {
-		d.Hist = stats.Histogram(xs, s.Min, s.Max, 8)
-	}
-	return d
 }
 
 // Stats is a consistent observability snapshot of a Manager. The counter
@@ -93,11 +70,15 @@ type Stats struct {
 	// is the cumulative number of channel allocations ever performed.
 	Occupancy     int64  `json:"occupancy"`
 	ChannelAllocs uint64 `json:"channel_allocs"`
-	// EpochSize and EpochLatencyMS summarize the last ≤4096 epochs; epoch
-	// latency is measured from the oldest member's enqueue to its verdict,
-	// so it includes the batching wait.
-	EpochSize      Dist `json:"epoch_size"`
-	EpochLatencyMS Dist `json:"epoch_latency_ms"`
+	// EpochSize and EpochLatencyMS summarize every epoch since New (see
+	// Dist for the percentile error); epoch latency is measured from the
+	// oldest member's enqueue to its verdict, so it includes the batching
+	// wait. EpochLatency is the mergeable histogram behind EpochLatencyMS,
+	// from which a federation computes fleet-wide percentiles; it stays
+	// out of the JSON form.
+	EpochSize      Dist               `json:"epoch_size"`
+	EpochLatencyMS Dist               `json:"epoch_latency_ms"`
+	EpochLatency   stats.HistSnapshot `json:"-"`
 	// LastEpochEngine names the scheduler that ran the most recent epoch
 	// (for the parallel engine: its mode and worker count).
 	LastEpochEngine string `json:"last_epoch_engine,omitempty"`
@@ -114,8 +95,9 @@ type Stats struct {
 	PendingRepairs   int64   `json:"pending_repairs"`
 	FaultyChannels   int     `json:"faulty_channels"`
 	DegradedCapacity float64 `json:"degraded_capacity"`
-	// RepairLatencyMS and RepairDepth summarize the last ≤4096 successful
-	// repairs: revoke-to-readmission latency and scheduling attempts used.
+	// RepairLatencyMS and RepairDepth summarize every successful repair
+	// since New: revoke-to-readmission latency and scheduling attempts
+	// used (exact: attempt counts are small integers).
 	RepairLatencyMS Dist `json:"repair_latency_ms"`
 	RepairDepth     Dist `json:"repair_depth"`
 	// Gray-failure observability (see gray.go). RepairAttempts counts
@@ -140,7 +122,7 @@ type Stats struct {
 	// torn down (releases, revocations, delta departures) and
 	// EstablishedRoutes routes set up (grants and repairs holding
 	// channels); RouteChurn summarizes their per-scheduling-epoch sum —
-	// the reconfiguration cost — over the last ≤4096 epochs. All three
+	// the reconfiguration cost — over every epoch since New. All three
 	// are recorded in batch mode too, so modes compare directly.
 	Incremental       bool   `json:"incremental,omitempty"`
 	ReuseCost         int    `json:"reuse_cost,omitempty"`
@@ -150,10 +132,10 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the manager's counters, queue, epoch
-// distributions, and live link utilization. No lock is held across the
-// distribution summaries: histogram samples are copied stripe by stripe
-// and the sort/percentile pass runs outside, so a large snapshot never
-// stalls the flusher or a client.
+// distributions, and live link utilization. The distributions are
+// lock-free stats.Hist histograms, summarized outside the scheduling
+// lock in O(buckets) — no copy of samples, no sort — so a snapshot never
+// stalls the flusher or a client for longer than the settle step below.
 //
 // The call takes the scheduling lock and settles pending work first —
 // parked fast-path releases are drained and staged departures applied,
@@ -173,11 +155,11 @@ func (m *Manager) Stats() Stats {
 	}
 	m.mu.Unlock()
 	depth := int(m.qdepth.Load())
-	size := distOf(m.epochSize.snapshot())
-	lat := distOf(m.epochLat.snapshot())
-	repLat := distOf(m.repairLat.snapshot())
-	repDepth := distOf(m.repairDepth.snapshot())
-	churn := distOf(m.routeChurn.snapshot())
+	size := m.epochSize.Snapshot()
+	lat := m.epochLat.Snapshot()
+	repLat := m.repairLat.Snapshot()
+	repDepth := m.repairDepth.Snapshot()
+	churn := m.routeChurn.Snapshot()
 	return Stats{
 		Offered:        m.offered.Load(),
 		Granted:        m.granted.Load(),
@@ -192,8 +174,9 @@ func (m *Manager) Stats() Stats {
 		Utilization:    util,
 		Occupancy:      m.st.LiveOccupancy(),
 		ChannelAllocs:  m.st.TotalAllocs(),
-		EpochSize:      size,
-		EpochLatencyMS: lat,
+		EpochSize:      HistDist(&size),
+		EpochLatencyMS: HistDist(&lat),
+		EpochLatency:   lat,
 
 		LastEpochEngine: lastEngine,
 
@@ -204,8 +187,8 @@ func (m *Manager) Stats() Stats {
 		PendingRepairs:   m.pendingRepairs.Load(),
 		FaultyChannels:   faulty,
 		DegradedCapacity: capacity,
-		RepairLatencyMS:  repLat,
-		RepairDepth:      repDepth,
+		RepairLatencyMS:  HistDist(&repLat),
+		RepairDepth:      HistDist(&repDepth),
 
 		RepairAttempts:        m.repairAttempts.Load(),
 		RepairBudgetExhausted: m.repairBudgetExhausted.Load(),
@@ -218,6 +201,6 @@ func (m *Manager) Stats() Stats {
 		ReuseCost:         m.reuseCost,
 		TornRoutes:        m.tornRoutes.Load(),
 		EstablishedRoutes: m.establishedRoutes.Load(),
-		RouteChurn:        churn,
+		RouteChurn:        HistDist(&churn),
 	}
 }

@@ -135,7 +135,6 @@ type plane struct {
 	// injected DegradedPlane duty cycle; degraded holds that process.
 	failStreak atomic.Int32
 	health     atomic.Uint64
-	hmu        sync.Mutex
 	breaker    atomic.Int32
 	lastProbe  atomic.Int64 // UnixNano of the last probe election
 	admitSeq   atomic.Uint64
@@ -430,7 +429,11 @@ func (r *Router) admitConn(ctx context.Context, src, dst, skip int) (fabric.Conn
 		// Injected slow-plane process: a duty-cycle fraction of this
 		// plane's admissions pay the configured latency up front, which
 		// the health score then observes like any organic slowness.
-		start := time.Now()
+		// The clock is read only when a latency budget will score it.
+		var start time.Time
+		if r.cfg.LatencyBudget > 0 {
+			start = time.Now()
+		}
 		if dp := p.degraded.Load(); dp != nil && dp.SlowAt(p.admitSeq.Add(1)-1) {
 			sleepInjected(ctx, time.Duration(dp.AdmitLatency))
 		}

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -429,4 +430,87 @@ func TestStatsImbalance(t *testing.T) {
 	if got := r.Stats().Imbalance; got != 3 {
 		t.Errorf("imbalance = %v, want 3", got)
 	}
+}
+
+// TestStatsFleetEpochLatency: the router's EpochLatencyMS merges the
+// planes' epoch histograms, so its count is the sum of theirs and its
+// median lies between the planes' medians. Plane 1 batches in pairs
+// under a MaxWait, so its epochs are far slower than plane 0's.
+func TestStatsFleetEpochLatency(t *testing.T) {
+	r := testRouter(t, 2, func(c *Config) {
+		c.Policy = PolicyRoundRobin
+		c.Planes[1].Fabric.BatchSize = 2
+		c.Planes[1].Fabric.MaxWait = 2 * time.Millisecond
+	})
+	for i := 0; i < 20; i++ {
+		h, err := r.Connect(context.Background(), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	s := r.Stats()
+	a, b := s.Planes[0].Fabric.EpochLatencyMS, s.Planes[1].Fabric.EpochLatencyMS
+	fleet := s.EpochLatencyMS
+	if a.N == 0 || b.N == 0 || fleet.N != a.N+b.N {
+		t.Fatalf("fleet N = %d, planes %d + %d", fleet.N, a.N, b.N)
+	}
+	lo, hi := min(a.P50, b.P50), max(a.P50, b.P50)
+	if fleet.P50 < lo || fleet.P50 > hi {
+		t.Errorf("fleet p50 %v outside the planes' [%v, %v]", fleet.P50, lo, hi)
+	}
+	if fleet.Min != min(a.Min, b.Min) || fleet.Max != max(a.Max, b.Max) {
+		t.Errorf("fleet range [%v, %v], planes [%v, %v] and [%v, %v]", fleet.Min, fleet.Max, a.Min, a.Max, b.Min, b.Max)
+	}
+}
+
+// TestHealthConcurrentUpdates hammers one plane's score from many
+// goroutines. The score must stay inside [0, 1] throughout, and the
+// CAS loop must lose no update: failures alone fold 1 → (1-α)^n in
+// any order, so the concurrent result equals the sequential one.
+func TestHealthConcurrentUpdates(t *testing.T) {
+	const workers, per, alpha = 8, 2000, 0.001
+	p := &plane{}
+	p.resetHealth()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				p.noteFailure(alpha, 1<<30, 0)
+				if h := p.healthNow(); h < 0 || h > 1 {
+					t.Errorf("health %v outside [0, 1]", h)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := 1.0
+	for i := 0; i < workers*per; i++ {
+		want = (1 - alpha) * want
+	}
+	if got := p.healthNow(); got != want {
+		t.Fatalf("health after %d concurrent failures = %v, want %v (a lost update)", workers*per, got, want)
+	}
+
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if (w+i)%3 == 0 {
+					p.noteFailure(alpha, 1<<30, 0)
+				} else {
+					p.noteSuccess(alpha, i%2 == 0)
+				}
+				if h := p.healthNow(); h < 0 || h > 1 {
+					t.Errorf("health %v outside [0, 1]", h)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -57,28 +57,36 @@ func (p *plane) healthNow() float64 {
 }
 
 // bumpHealth folds one outcome sample into the EWMA and returns the new
-// score. hmu serializes the read-modify-write; the atomic keeps
-// lock-free readers (stats, tests) safe.
+// score. A CAS loop on the score's bits serializes the read-modify-write
+// exactly as a mutex would — every sample folds into the score the last
+// one produced — without parking a grant behind a concurrent denial.
 func (p *plane) bumpHealth(alpha, sample float64) float64 {
-	p.hmu.Lock()
-	h := math.Float64frombits(p.health.Load())
-	h = (1-alpha)*h + alpha*sample
-	p.health.Store(math.Float64bits(h))
-	p.hmu.Unlock()
-	return h
+	for {
+		old := p.health.Load()
+		h := (1-alpha)*math.Float64frombits(old) + alpha*sample
+		if p.health.CompareAndSwap(old, math.Float64bits(h)) {
+			return h
+		}
+	}
 }
 
 // noteSuccess records a grant: the streak resets, the score pulls
 // toward 1 (or only 0.5 for a grant slower than the latency budget —
-// alive, but degraded), and any open or half-open breaker closes.
+// alive, but degraded), and any open or half-open breaker closes. The
+// streak and breaker are stored only when they change, so the steady
+// healthy path writes one shared cache line (the score), not three.
 func (p *plane) noteSuccess(alpha float64, slow bool) {
-	p.failStreak.Store(0)
+	if p.failStreak.Load() != 0 {
+		p.failStreak.Store(0)
+	}
 	sample := 1.0
 	if slow {
 		sample = 0.5
 	}
 	p.bumpHealth(alpha, sample)
-	p.breaker.Store(bClosed)
+	if p.breaker.Load() != bClosed {
+		p.breaker.Store(bClosed)
+	}
 }
 
 // noteFailure records a failover-able denial: the score pulls toward 0,

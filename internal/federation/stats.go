@@ -4,7 +4,10 @@ package federation
 // breakdown, the shape ftserve's /stats serves and ftbench's -planes
 // sweeps summarize.
 
-import "repro/internal/fabric"
+import (
+	"repro/internal/fabric"
+	"repro/internal/stats"
+)
 
 // PlaneStats is one plane's view in a federated snapshot.
 type PlaneStats struct {
@@ -55,8 +58,14 @@ type Stats struct {
 	// load-spread regression signal: 1.0 is a perfect spread. It is 0
 	// (undefined) while any plane has zero grants, since the true ratio
 	// is infinite and JSON cannot carry it.
-	Imbalance float64      `json:"imbalance"`
-	Planes    []PlaneStats `json:"planes"`
+	Imbalance float64 `json:"imbalance"`
+	// EpochLatencyMS is the fleet-wide epoch latency: the planes' epoch
+	// histograms merged bucket by bucket, so its percentiles are true
+	// percentiles of every epoch on every plane (cumulative since New,
+	// with fabric.Dist's bounded error) rather than an average of
+	// per-plane percentiles.
+	EpochLatencyMS fabric.Dist  `json:"epoch_latency_ms"`
+	Planes         []PlaneStats `json:"planes"`
 }
 
 // Stats snapshots the router and every plane.
@@ -74,12 +83,14 @@ func (r *Router) Stats() Stats {
 		Planes:                  make([]PlaneStats, len(r.planes)),
 	}
 	var minG, maxG uint64
+	var fleet stats.Hist
 	for i, p := range r.planes {
 		g := p.grants.Load()
 		// Snapshot the fabric first: Stats drains the plane's parked
 		// releases, so the occupancy gauge it carries reflects every
 		// Release that returned before this call.
 		fb := p.surf.Stats()
+		fleet.Merge(&fb.EpochLatency)
 		s.Planes[i] = PlaneStats{
 			Name:      p.name,
 			Healthy:   !p.ejectedNow(),
@@ -100,5 +111,7 @@ func (r *Router) Stats() Stats {
 	if minG > 0 {
 		s.Imbalance = float64(maxG) / float64(minG)
 	}
+	fleetSnap := fleet.Snapshot()
+	s.EpochLatencyMS = fabric.HistDist(&fleetSnap)
 	return s
 }

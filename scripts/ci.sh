@@ -106,3 +106,9 @@ go test -race -count=2 -run 'TestDeliveryPipelineModes|TestCancelRacesPooledTick
 # must never panic, and an accepted spec must parse again to an engine
 # of the same name.
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/sched
+
+# Histogram fuzz smoke: a few seconds of fresh inputs on top of the
+# checked-in corpus (NaN, ±Inf, zero, negative, subnormal and huge
+# samples): Record must never panic, N must count every finite sample,
+# and quantiles must be monotone in p and inside [Min, Max].
+go test -run '^$' -fuzz FuzzHist -fuzztime 5s ./internal/stats
