@@ -320,8 +320,8 @@ func BenchmarkFabricThroughput(b *testing.B) {
 }
 
 // BenchmarkParallelLevelWise compares the sequential zero-allocation
-// scheduler against the parallel engine (internal/parsched) in both
-// modes across worker counts and batch sizes; the requests/s metric is
+// scheduler against the parallel engine's deterministic mode
+// (internal/parsched) across worker counts and batch sizes; the requests/s metric is
 // the headline (baseline recorded in BENCH_parallel.json). Speedup
 // requires real cores: on a GOMAXPROCS=1 host the parallel variants
 // measure pure coordination overhead.
@@ -357,11 +357,9 @@ func BenchmarkParallelLevelWise(b *testing.B) {
 			lw, sc := &core.LevelWise{Opts: opts}, core.NewScratch()
 			run("sequential", func(st *LinkState, reqs []core.Request) { lw.ScheduleInto(st, reqs, sc) })
 			for _, workers := range []int{2, 4, 8} {
-				for _, mode := range []parsched.Mode{parsched.Deterministic, parsched.Racy} {
-					eng := parsched.New(parsched.Config{Workers: workers, Mode: mode, Opts: opts})
-					run(fmt.Sprintf("%s/w%d", mode, workers),
-						func(st *LinkState, reqs []core.Request) { eng.Schedule(st, reqs) })
-				}
+				eng := parsched.New(parsched.Config{Workers: workers, Mode: parsched.Deterministic, Opts: opts})
+				run(fmt.Sprintf("deterministic/w%d", workers),
+					func(st *LinkState, reqs []core.Request) { eng.Schedule(st, reqs) })
 			}
 		}
 	}
@@ -391,7 +389,7 @@ func scalingBatch(tree *FatTree, n int, local bool, seed int64) []core.Request {
 }
 
 // BenchmarkScalingEngines is the multi-core scaling study: sequential
-// vs deterministic vs racy vs shard (± steal) with workers pinned to
+// vs deterministic vs shard (± steal) with workers pinned to
 // GOMAXPROCS, so `go test -bench ScalingEngines -cpu 1,2,4,8` sweeps
 // core counts and each point uses exactly the cores the runtime gives
 // it (baseline and acceptance notes recorded in BENCH_scaling.json).
@@ -433,9 +431,6 @@ func BenchmarkScalingEngines(b *testing.B) {
 			}{
 				{"deterministic", func(w int) parsched.Config {
 					return parsched.Config{Workers: w, Mode: parsched.Deterministic, Opts: opts}
-				}},
-				{"racy", func(w int) parsched.Config {
-					return parsched.Config{Workers: w, Mode: parsched.Racy, Opts: opts}
 				}},
 				{"shard", func(w int) parsched.Config {
 					return parsched.Config{Workers: w, Mode: parsched.Shard, Opts: opts}

@@ -185,7 +185,7 @@ func admitPoint(tree *topology.Tree, cfg admitBenchConfig, epoch, clients int) (
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	counts, elapsed, loopErr := closedLoop(fab, tree, lcfg, false, &lat)
+	counts, elapsed, loopErr := closedLoop(fab.Admit, tree.Nodes(), lcfg, false, &lat)
 	runtime.ReadMemStats(&after)
 	s := fab.Stats()
 	if err := fab.Close(context.Background()); err != nil && loopErr == nil {

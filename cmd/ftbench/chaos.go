@@ -144,7 +144,7 @@ func chaosRun(cfg chaosBenchConfig, p float64, seed int64) (chaosResult, error) 
 	}
 
 	var lat stats.Hist
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, &lat)
+	counts, elapsed, loopErr := closedLoop(fab.Admit, tree.Nodes(), cfg.fabricBenchConfig, true, &lat)
 	close(stop)
 	injWg.Wait()
 	s := fab.Stats()

@@ -60,16 +60,21 @@ func (c loopCounts) schedulability() float64 {
 	return float64(c.admitted) / float64(c.offered())
 }
 
-// closedLoop drives cfg.Clients concurrent FIFO-churn clients against
-// fab until cfg.Duration elapses. In strict mode (chaotic=false) any
-// unexpected client error — including ErrAdmitTimeout when
-// cfg.Timeout is set — aborts the run and is returned, so a wedged
+// connectFunc admits one circuit: a Manager's Admit, or a closure over
+// a federation Router's Connect.
+type connectFunc func(ctx context.Context, src, dst int) (fabric.Conn, error)
+
+// closedLoop drives cfg.Clients concurrent FIFO-churn clients through
+// connect, over endpoints drawn from [0, nodes), until cfg.Duration
+// elapses. In strict mode (chaotic=false) any unexpected client error —
+// including ErrAdmitTimeout when cfg.Timeout is set — aborts the run
+// and is returned, so a wedged
 // server fails the run instead of hanging. With chaotic=true (faults
 // being injected mid-run) timeouts are counted and revocation-related
 // release errors are tolerated, since both are expected degraded-mode
 // outcomes. lat records every Connect's wall time in microseconds (the
 // admission round-trip each client observes) for tail-latency reporting.
-func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig, chaotic bool, lat *stats.Hist) (loopCounts, time.Duration, error) {
+func closedLoop(connect connectFunc, nodes int, cfg fabricBenchConfig, chaotic bool, lat *stats.Hist) (loopCounts, time.Duration, error) {
 	var admitted, denied, timedOut atomic.Uint64
 	deadline := time.Now().Add(cfg.Duration)
 	errs := make([]error, cfg.Clients)
@@ -79,7 +84,7 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig,
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
-			var held []*fabric.Handle
+			var held []fabric.Conn
 			defer func() {
 				for _, h := range held {
 					if err := h.Release(); err != nil && !chaotic && errs[id] == nil {
@@ -97,9 +102,9 @@ func closedLoop(fab *fabric.Manager, tree *topology.Tree, cfg fabricBenchConfig,
 					}
 					held = held[1:]
 				}
-				src, dst := rng.Intn(tree.Nodes()), rng.Intn(tree.Nodes())
+				src, dst := rng.Intn(nodes), rng.Intn(nodes)
 				began := time.Now()
-				h, err := fab.Connect(context.Background(), src, dst)
+				h, err := connect(context.Background(), src, dst)
 				lat.Record(float64(time.Since(began)) / float64(time.Microsecond))
 				switch {
 				case err == nil:
@@ -145,7 +150,7 @@ func fabricBench(out io.Writer, cfg fabricBenchConfig) error {
 	}
 
 	var lat stats.Hist
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg, false, &lat)
+	counts, elapsed, loopErr := closedLoop(fab.Admit, tree.Nodes(), cfg, false, &lat)
 	if err := fab.Close(context.Background()); err != nil && loopErr == nil {
 		loopErr = err
 	}

@@ -11,17 +11,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/federation"
@@ -67,62 +62,15 @@ type fedResult struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
-// closedLoopFederation is closedLoop against a federation router: the
-// same churn model, counting grants and scheduler denials. lat records
-// every Connect's wall time in microseconds.
-func closedLoopFederation(r *federation.Router, cfg fabricBenchConfig, lat *stats.Hist) (loopCounts, time.Duration, error) {
-	var admitted, denied atomic.Uint64
-	deadline := time.Now().Add(cfg.Duration)
-	nodes := r.Nodes()
-	errs := make([]error, cfg.Clients)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
-			var held []*federation.Handle
-			defer func() {
-				for _, h := range held {
-					if err := h.Release(); err != nil && errs[id] == nil {
-						errs[id] = fmt.Errorf("client %d final release: %w", id, err)
-					}
-				}
-			}()
-			for time.Now().Before(deadline) {
-				for len(held) >= cfg.Open {
-					if err := held[0].Release(); err != nil {
-						errs[id] = fmt.Errorf("client %d release: %w", id, err)
-						return
-					}
-					held = held[1:]
-				}
-				src, dst := rng.Intn(nodes), rng.Intn(nodes)
-				began := time.Now()
-				h, err := r.Connect(context.Background(), src, dst)
-				lat.Record(float64(time.Since(began)) / float64(time.Microsecond))
-				switch {
-				case err == nil:
-					admitted.Add(1)
-					held = append(held, h)
-				case errors.Is(err, fabric.ErrUnroutable) || errors.Is(err, fabric.ErrUnroutableDegraded):
-					denied.Add(1)
-				default:
-					errs[id] = fmt.Errorf("client %d: %w", id, err)
-					return
-				}
-			}
-		}(c)
-	}
-	start := time.Now()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+// routerConnect adapts Router.Connect to the closed-loop driver.
+func routerConnect(r *federation.Router) connectFunc {
+	return func(ctx context.Context, src, dst int) (fabric.Conn, error) {
+		h, err := r.Connect(ctx, src, dst)
 		if err != nil {
-			return loopCounts{}, elapsed, err
+			return nil, err
 		}
+		return h, nil
 	}
-	return loopCounts{admitted: admitted.Load(), denied: denied.Load()}, elapsed, nil
 }
 
 // fedPoints expands the sweep grid: every plane count × policy from the
@@ -188,7 +136,7 @@ func federationBench(out io.Writer, cfg fedBenchConfig) error {
 			return err
 		}
 		var lat stats.Hist
-		counts, elapsed, loopErr := closedLoopFederation(r, cfg.fabricBenchConfig, &lat)
+		counts, elapsed, loopErr := closedLoop(routerConnect(r), r.Nodes(), cfg.fabricBenchConfig, false, &lat)
 		s := r.Stats()
 		if err := r.Close(context.Background()); err != nil && loopErr == nil {
 			loopErr = err

@@ -262,7 +262,7 @@ func grayRun(cfg grayBenchConfig, p float64, seed int64, reuse int) (grayArm, er
 	}
 
 	var lat stats.Hist
-	counts, elapsed, loopErr := closedLoop(fab, tree, cfg.fabricBenchConfig, true, &lat)
+	counts, elapsed, loopErr := closedLoop(fab.Admit, tree.Nodes(), cfg.fabricBenchConfig, true, &lat)
 	close(stop)
 	injWg.Wait()
 	if loopErr != nil {

@@ -63,12 +63,12 @@ func TestFabricBenchParallel(t *testing.T) {
 		Levels: 3, Children: 4, Parents: 4,
 		Clients: 16, Batch: 16, Open: 2,
 		MaxWait: 200 * time.Microsecond, Duration: 100 * time.Millisecond, Seed: 1,
-		Scheduler: "parallel,mode=racy,workers=4",
+		Scheduler: "parallel,mode=shard,workers=4",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "engine parallel-level-wise/racy/w4") {
+	if !strings.Contains(out.String(), "engine parallel-level-wise/shard/w4") {
 		t.Errorf("summary missing engine line:\n%s", out.String())
 	}
 }

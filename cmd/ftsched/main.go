@@ -11,7 +11,7 @@
 //
 // Scheduler specs follow internal/sched's grammar
 // ("family,key=value,flag" — e.g. "level-wise,policy=random,rollback",
-// "backtrack,depth=4", "parallel,mode=racy,workers=8"); -list prints
+// "backtrack,depth=4", "parallel,mode=shard,workers=8"); -list prints
 // every registered engine with its parameters and exits. With -v every
 // request's outcome (path or failure level) is listed. With -json the
 // run summary is emitted as a single JSON object instead of the

@@ -14,7 +14,7 @@ func TestMakeScheduler(t *testing.T) {
 	for _, name := range []string{
 		"level-wise", "local-random", "local-greedy", "optimal",
 		"level-wise,policy=random,order=shuffle,rollback",
-		"backtrack,depth=4", "stale,window=8", "parallel,mode=racy,workers=2",
+		"backtrack,depth=4", "stale,window=8", "parallel,mode=shard,workers=2",
 	} {
 		s, err := makeScheduler(name, false)
 		if err != nil || s == nil {

@@ -378,7 +378,7 @@ func TestStatsReportsEngine(t *testing.T) {
 	cfg := federation.Config{Planes: []federation.PlaneConfig{{
 		Fabric: fabric.Config{
 			Tree:          topology.MustNew(3, 4, 4),
-			SchedulerSpec: "parallel,mode=racy,workers=2",
+			SchedulerSpec: "parallel,mode=deterministic,workers=2",
 			BatchSize:     2,
 			MaxWait:       time.Hour,
 		},
@@ -393,8 +393,8 @@ func TestStatsReportsEngine(t *testing.T) {
 		router.Close(context.Background())
 	})
 
-	// Two concurrent connects fill one epoch of two, which the racy
-	// engine schedules on both workers (a lone request would run its
+	// Two concurrent connects fill one epoch of two, which the
+	// deterministic engine schedules on both workers (a lone request would run its
 	// sequential core).
 	codes := make(chan int, 2)
 	for _, req := range []connectRequest{{Src: 0, Dst: 63}, {Src: 1, Dst: 62}} {
@@ -412,7 +412,7 @@ func TestStatsReportsEngine(t *testing.T) {
 		t.Fatalf("stats planes = %v", raw["planes"])
 	}
 	fb, _ := planes[0].(map[string]any)["fabric"].(map[string]any)
-	if fb["last_epoch_engine"] != "parallel-level-wise/racy/w2" {
+	if fb["last_epoch_engine"] != "parallel-level-wise/deterministic/w2" {
 		t.Errorf("last_epoch_engine = %v", fb["last_epoch_engine"])
 	}
 }

@@ -115,21 +115,16 @@ type Config struct {
 	Tree *topology.Tree
 	// SchedulerSpec names the admission engine in internal/sched's
 	// registry grammar (e.g. "level-wise,rollback", "backtrack,depth=2",
-	// "parallel,mode=racy,workers=8"). Empty means the default
+	// "parallel,mode=shard,workers=8"). Empty means the default
 	// "level-wise,rollback". A level-wise spec carrying the incremental
 	// flag ("level-wise,rollback,incremental[,reuse-cost=K]") runs delta
 	// epochs: granted routes stay allocated across epochs and each pass
 	// admits only the arrival delta, with releases, revocations, and
-	// repairs flowing through the same departure path. Mutually
-	// exclusive with Scheduler.
+	// repairs flowing through the same departure path. Engines that
+	// retain a failed request's partial allocations are safe: the
+	// manager releases retained ports after every epoch, since a
+	// rejected connection holds nothing.
 	SchedulerSpec string
-	// Scheduler admits each epoch against the live link state, for
-	// callers that composed one programmatically; most should name an
-	// engine with SchedulerSpec instead. Defaults to the Level-wise
-	// scheduler with rollback. Schedulers that retain a failed request's
-	// partial allocations are safe: the manager releases retained ports
-	// after every epoch, since a rejected connection holds nothing.
-	Scheduler core.Scheduler
 	// BatchSize is the epoch flush threshold (default DefaultBatchSize).
 	// 1 disables batching: every request is its own epoch.
 	BatchSize int
@@ -502,12 +497,14 @@ type Manager struct {
 // flusher goroutine — the only goroutine a Manager owns. Stop it with
 // Close.
 func New(cfg Config) (*Manager, error) {
-	return newManager(cfg, releaseRingSize)
+	return newManager(cfg, releaseRingSize, nil)
 }
 
-// newManager is New with the release ring's capacity as a parameter, so
-// tests can exercise the full-ring fallback on a tiny ring.
-func newManager(cfg Config, ringSize int) (*Manager, error) {
+// newManager is New with the release ring's capacity and the engine as
+// parameters, so tests can exercise the full-ring fallback on a tiny
+// ring and install scheduler fakes. A nil eng is built from
+// cfg.SchedulerSpec.
+func newManager(cfg Config, ringSize int, eng sched.Engine) (*Manager, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("fabric: nil tree")
 	}
@@ -559,17 +556,14 @@ func newManager(cfg Config, ringSize int) (*Manager, error) {
 	case cfg.RepairBudget.Burst == 0:
 		cfg.RepairBudget.Burst = int(math.Ceil(cfg.RepairBudget.Rate))
 	}
-	var eng sched.Engine
 	switch {
-	case cfg.SchedulerSpec != "" && cfg.Scheduler != nil:
-		return nil, errors.New("fabric: SchedulerSpec and Scheduler are mutually exclusive")
+	case eng != nil:
+		// A test's scheduler fake.
 	case cfg.SchedulerSpec != "":
 		var err error
 		if eng, err = sched.Parse(cfg.SchedulerSpec); err != nil {
 			return nil, err
 		}
-	case cfg.Scheduler != nil:
-		eng = sched.Wrap(cfg.Scheduler)
 	default:
 		eng = sched.Wrap(&core.LevelWise{Opts: core.Options{Rollback: true}})
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linkstate"
+	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -265,7 +266,7 @@ func TestHandleErrLockFree(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	gate := newGatedScheduler()
 	gate.pass = 1 // grant h, then hold the next epoch
-	m, err := New(Config{Tree: tree, Scheduler: gate, BatchSize: 1, MaxWait: time.Hour})
+	m, err := newManager(Config{Tree: tree, BatchSize: 1, MaxWait: time.Hour}, releaseRingSize, sched.Wrap(gate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestAdmitTimeout(t *testing.T) {
 func TestBackpressureOverflow(t *testing.T) {
 	tree := topology.MustNew(2, 4, 4)
 	gate := newGatedScheduler()
-	m, err := New(Config{Tree: tree, Scheduler: gate, BatchSize: 1, MaxWait: time.Hour, QueueLimit: 1})
+	m, err := newManager(Config{Tree: tree, BatchSize: 1, MaxWait: time.Hour, QueueLimit: 1}, releaseRingSize, sched.Wrap(gate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestCloseDrains(t *testing.T) {
 // channels: after releasing every grant, utilization returns to zero.
 func TestNoRollbackSchedulerRetainsNothing(t *testing.T) {
 	tree := topology.MustNew(3, 2, 2)
-	m, err := New(Config{Tree: tree, Scheduler: core.NewLevelWise(), BatchSize: 4, MaxWait: 100 * time.Microsecond})
+	m, err := New(Config{Tree: tree, SchedulerSpec: "level-wise", BatchSize: 4, MaxWait: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -37,7 +36,6 @@ func TestIncrementalConfigValidation(t *testing.T) {
 		{"parallel has no delta mode", Config{Tree: tree, SchedulerSpec: "parallel,workers=2,incremental"}, "unknown parameter", false},
 		{"incremental via spec flag", Config{Tree: tree, SchedulerSpec: "levelwise,incremental,reuse-cost=2"}, "", true},
 		{"incremental with rollback", Config{Tree: tree, SchedulerSpec: incSpec}, "", true},
-		{"incremental scheduler value", Config{Tree: tree, Scheduler: &core.LevelWise{Opts: core.Options{Incremental: true}}}, "", true},
 		{"default engine", Config{Tree: tree}, "", false},
 		{"parallel engine", Config{Tree: tree, SchedulerSpec: "parallel,workers=2"}, "", false},
 	}
@@ -298,7 +296,7 @@ func TestReleaseRingDrainRacesClose(t *testing.T) {
 				Tree:          tree,
 				BatchSize:     1,
 				SchedulerSpec: mode.spec,
-			}, 8)
+			}, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,42 +69,6 @@ func fullEpochEngine(t *testing.T, spec string) string {
 	return m.Stats().LastEpochEngine
 }
 
-// TestParallelRacyManager drives the lock-free engine, selected by its
-// spec string, through the manager under load (and under -race in CI)
-// and replays the journal.
-func TestParallelRacyManager(t *testing.T) {
-	const spec = "parallel,mode=racy,workers=8,rollback"
-	if got := fullEpochEngine(t, spec); got != "parallel-level-wise/racy/w8" {
-		t.Errorf("full epoch ran on %q", got)
-	}
-	tree := topology.MustNew(3, 4, 4)
-	var j journal
-	m, err := New(Config{
-		Tree:          tree,
-		SchedulerSpec: spec,
-		BatchSize:     32,
-		MaxWait:       10 * time.Millisecond,
-		Trace:         j.record,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		burst(t, m, tree, 48, int64(round)*100)
-	}
-	s := m.Stats()
-	if s.Active != 0 || s.Utilization != 0 {
-		t.Errorf("drained manager still holds links: %+v", s)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	events := j.events
-	j.mu.Unlock()
-	replay(t, tree, events)
-}
-
 // TestParallelShardManager drives the subtree-sharded engine, selected
 // by its spec string, through the manager under load (and under -race
 // in CI) and replays the journal.

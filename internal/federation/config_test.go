@@ -179,7 +179,8 @@ func TestConfigValidationErrors(t *testing.T) {
 		// Engine choice lives in the scheduler spec alone, so a bad
 		// parallel or delta-epoch request fails through sched.Parse.
 		{"bad parallel mode", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=sharded"}]}`, "invalid mode"},
-		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=racy,steal"}]}`, "steal requires mode=shard"},
+		{"racy mode", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=racy"}]}`, `invalid mode="racy" (deterministic or shard)`},
+		{"steal without shard", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"parallel,mode=deterministic,steal"}]}`, "steal requires mode=shard"},
 		{"negative reuse_cost", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,incremental,reuse-cost=-2"}]}`, "invalid reuse-cost"},
 		{"reuse_cost without incremental", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"level-wise,reuse-cost=2"}]}`, "requires the incremental flag"},
 		{"incremental without capability", `{"planes":[{"levels":2,"arity":2,"width":1,"scheduler":"optimal,incremental"}]}`, "unknown parameter"},
@@ -201,6 +202,20 @@ func TestConfigValidationErrors(t *testing.T) {
 	var empty FileConfig
 	if err := empty.Validate(); !errors.Is(err, ErrNoPlanes) {
 		t.Errorf("empty config: %v, want ErrNoPlanes", err)
+	}
+}
+
+// TestLoadRejectsHugeWidthFast: a two-node-level plane whose width
+// would make its link tables take gigabytes is refused by Load before
+// anything is allocated, naming the shape.
+func TestLoadRejectsHugeWidthFast(t *testing.T) {
+	start := time.Now()
+	_, err := Load(strings.NewReader(`{"planes":[{"levels":2,"arity":2,"width":100000000}]}`))
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("Load took %s, want < 100ms", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "FT(2,2,100000000) has more than") {
+		t.Fatalf("Load error = %v, want the link limit naming FT(2,2,100000000)", err)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 
 // goldenSpecs derives one deterministic spec per registered scheduler
 // family (default seeds are fixed, so a spec names a reproducible
-// engine). The racy parallel mode is the one intentionally
-// nondeterministic engine and is excluded.
+// engine).
 func goldenSpecs(t *testing.T) []string {
 	t.Helper()
 	var specs []string

@@ -1,6 +1,7 @@
 package linkstate
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -8,7 +9,7 @@ import (
 
 // Fault-mask invariants: FailLink/RepairLink lifecycle, the
 // never-resurrect rule for Release, allocated-vs-dead accounting, and
-// masked availability on both the plain and atomic query paths.
+// masked availability on both the vector and word query paths.
 // scripts/ci.sh runs these under the race detector.
 
 func TestFailLinkLifecycle(t *testing.T) {
@@ -80,8 +81,8 @@ func TestFailLinkForfeitsAllocation(t *testing.T) {
 	}
 }
 
-// TestFaultMaskMasksAvailability checks both query paths — the plain
-// and the atomic AvailBothInto — exclude failed channels.
+// TestFaultMaskMasksAvailability checks both query paths — the vector
+// AvailBothInto and the word AvailBothWord — exclude failed channels.
 func TestFaultMaskMasksAvailability(t *testing.T) {
 	s := newState(t, 2, 4, 4)
 	s.FailLink(Up, 0, 0, 1)
@@ -94,9 +95,8 @@ func TestFaultMaskMasksAvailability(t *testing.T) {
 	if dst.Count() != 2 {
 		t.Fatalf("AvailBothInto lost healthy channels: %s", dst)
 	}
-	s.AvailBothAtomicInto(dst, 0, 0, 3)
-	if dst.Get(1) || dst.Get(2) || dst.Count() != 2 {
-		t.Fatalf("AvailBothAtomicInto mask mismatch: %s", dst)
+	if word := s.AvailBothWord(0, 0, 3); word&0b110 != 0 || bits.OnesCount64(word) != 2 {
+		t.Fatalf("AvailBothWord mask mismatch: %04b", word)
 	}
 }
 

@@ -26,8 +26,8 @@
 // the allocation bits: FailLink takes a channel out of service and
 // RepairLink returns it. The mask is ANDed into availability eagerly —
 // failing a channel clears its Ulink/Dlink bit immediately — so every
-// availability query (AvailBothInto, the atomic variants, raw
-// ULink/DLink rows, Available) sees failed channels as unavailable at
+// availability query (AvailBothInto, AvailBothWord, raw ULink/DLink
+// rows, Available) sees failed channels as unavailable at
 // zero extra per-query cost, and every scheduler routes around faults
 // unchanged. The mask obeys its own invariants:
 //
@@ -42,13 +42,15 @@
 //   - OccupiedCount and Utilization count allocated channels only —
 //     "dead" (failed) is a distinct category reported by FailedCount.
 //
-// A State is NOT safe for concurrent use of its plain methods.
-// Concurrent callers must either serialize externally — internal/fabric
-// runs every scheduling epoch and every release under one manager lock —
-// or restrict themselves to the atomic subset (TryAllocate,
-// AtomicRelease, AvailBothAtomicInto), which lock-free workers in
-// internal/parsched may race freely against each other. Mixing the two
-// families concurrently is a data race.
+// A State is NOT safe for concurrent use in general: internal/fabric
+// runs every scheduling epoch and every release under one manager lock.
+// Two concurrent patterns are safe, and internal/parsched uses both:
+// workers that allocate and release only on disjoint switch rows (its
+// shard workers, each owning a subtree's rows outright), and workers that
+// only read availability rows while nothing writes (its deterministic
+// phase one, which a barrier orders before the serial commits). The load
+// counters and the occupancy gauge are shared across rows, so they are
+// updated atomically.
 package linkstate
 
 import (
@@ -105,9 +107,10 @@ type State struct {
 	// allocation events per channel (indexed [level][switch*w+port]) and
 	// occ is a live aggregate occupancy gauge (allocate +1, release -1)
 	// — the O(1) signal least-loaded plane selection reads instead of a
-	// popcount scan. All accesses are atomic so the lock-free scheduling
-	// paths (TryAllocate/AtomicRelease) may race freely; when tracking is
-	// off (the default) every hot path pays one predictable branch.
+	// popcount scan. All accesses are atomic: shard workers on disjoint
+	// rows update the shared gauge concurrently, and Occupancy readers
+	// load it without the owner's lock. When tracking is off (the
+	// default) every hot path pays one predictable branch.
 	trackLoad    bool
 	loadU, loadD [][]uint64
 	occ          atomic.Int64
@@ -390,8 +393,8 @@ func (s *State) DLink(h, idx int) bitvec.Vector { return s.dlink[h].Row(idx) }
 //
 // The fault mask is already ANDed in: FailLink clears a failed channel's
 // availability bit eagerly, so the two-operand AND here excludes dead
-// channels without a third operand on the hot path (the atomic variant
-// inherits the same property). BenchmarkAvailBothIntoFaulted pins that a
+// channels without a third operand on the hot path.
+// BenchmarkAvailBothIntoFaulted pins that a
 // masked state costs the same as a healthy one.
 func (s *State) AvailBothInto(dst bitvec.Vector, h, src, mir int) {
 	dst.And(s.ulink[h].Row(src), s.dlink[h].Row(mir))
@@ -405,15 +408,6 @@ func (s *State) AvailBothInto(dst bitvec.Vector, h, src, mir int) {
 func (s *State) AvailBoth(h, src, dst int) bitvec.Vector {
 	s.AvailBothInto(s.scratch, h, src, dst)
 	return s.scratch
-}
-
-// AvailBothAtomicInto is AvailBothInto with atomic word loads of the two
-// operand rows, for lock-free workers racing TryAllocate/AtomicRelease
-// calls. dst is caller-owned scratch; the availability view it receives
-// may be stale by the time the worker acts on it, which is safe because
-// TryAllocate re-checks under CAS.
-func (s *State) AvailBothAtomicInto(dst bitvec.Vector, h, src, mir int) {
-	dst.AndAtomic(s.ulink[h].Row(src), s.dlink[h].Row(mir))
 }
 
 // Available reports whether the given channel is free.
@@ -444,34 +438,6 @@ func (s *State) Allocate(d Direction, h, idx, port int) error {
 		s.noteAlloc(d, h, idx, port)
 	}
 	return nil
-}
-
-// TryAllocate atomically claims the channel with a CAS loop, returning
-// whether this call claimed it. Unlike Allocate it is safe to race
-// against other TryAllocate/AtomicRelease/AvailBothAtomicInto calls on
-// the same State: of N concurrent claimants of one channel exactly one
-// wins. It must not race plain Allocate/Release/AvailBoth calls.
-func (s *State) TryAllocate(d Direction, h, idx, port int) bool {
-	if !s.matrix(d)[h].Row(idx).TryClearAtomic(port) {
-		return false
-	}
-	if s.trackLoad {
-		s.noteAlloc(d, h, idx, port)
-	}
-	return true
-}
-
-// AtomicRelease atomically returns a channel claimed via TryAllocate. It
-// panics if the channel is not occupied: lock-free schedulers only ever
-// release channels they themselves claimed, so a free channel here is an
-// invariant violation, not a runtime condition.
-func (s *State) AtomicRelease(d Direction, h, idx, port int) {
-	if !s.matrix(d)[h].Row(idx).TrySetAtomic(port) {
-		panic(fmt.Sprintf("linkstate: atomic release of free %s channel at level %d switch %d port %d", d, h, idx, port))
-	}
-	if s.trackLoad {
-		s.occ.Add(-1)
-	}
 }
 
 // Release marks the channel available. It returns an error if the channel

@@ -2,7 +2,6 @@ package linkstate
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/topology"
@@ -143,34 +142,41 @@ func TestLoadGaugeMatchesOccupiedCount(t *testing.T) {
 	check("restore")
 }
 
-// TestLoadCountersAtomicPaths races TryAllocate/AtomicRelease workers on
-// a tracked state and checks the counters settle to the exact totals —
-// the parallel racy engine's view of the counters, run under -race.
+// TestLoadCountersAtomicPaths runs workers that allocate and release on
+// disjoint switch rows of one tracked state — the concurrency parsched's
+// shard workers exercise — and checks the shared counters settle to the
+// exact totals. Run under -race.
 func TestLoadCountersAtomicPaths(t *testing.T) {
-	s := New(topology.MustNew(2, 8, 8))
+	tree := topology.MustNew(2, 8, 8)
+	s := New(tree)
 	s.TrackLoad()
-	const workers = 8
 	const rounds = 200
-	var wins atomic.Uint64
+	workers := tree.SwitchesAt(0)
+	w := tree.Parents()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func() {
+		go func(row int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				port := r % 8
-				if s.TryAllocate(Up, 0, 0, port) {
-					wins.Add(1)
-					s.AtomicRelease(Up, 0, 0, port)
+				port := r % w
+				s.AllocateBoth(0, row, row, port)
+				if err := s.Release(Up, 0, row, port); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Release(Down, 0, row, port); err != nil {
+					t.Error(err)
+					return
 				}
 			}
-		}()
+		}(wk)
 	}
 	wg.Wait()
 	if got := s.LiveOccupancy(); got != 0 {
 		t.Errorf("LiveOccupancy = %d after all released, want 0", got)
 	}
-	if got := s.TotalAllocs(); got != wins.Load() {
-		t.Errorf("TotalAllocs = %d, want %d (successful claims)", got, wins.Load())
+	if got, want := s.TotalAllocs(), uint64(2*workers*rounds); got != want {
+		t.Errorf("TotalAllocs = %d, want %d (two channels per AllocateBoth)", got, want)
 	}
 }

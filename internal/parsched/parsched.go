@@ -5,14 +5,7 @@
 // the hardware performs concurrently in every switch can be performed
 // concurrently in software workers.
 //
-// The engine implements core.Scheduler and offers three modes:
-//
-//   - Racy: workers own disjoint request chunks and claim channels
-//     directly with lock-free CAS operations (linkstate.TryAllocate).
-//     Maximum throughput; the grant set may differ run to run under
-//     contention, but every produced Result is conflict-free — each
-//     channel is claimed by exactly one winner — which core.Verify's
-//     replay proves.
+// The engine implements core.Scheduler and offers two modes:
 //
 //   - Deterministic: a two-phase sweep per level. Phase one proposes a
 //     first-fit port for every live request in parallel against the
@@ -28,8 +21,8 @@
 //     stays inside one level-ℓ subtree touch Ulink/Dlink rows only
 //     inside that subtree, so disjoint subtrees schedule concurrently
 //     with plain (non-atomic) operations and zero coordination — no
-//     per-level barrier, no CAS retries; each shard owns its subtree's
-//     channel words outright. Root-crossing requests run afterwards
+//     per-level barrier, no atomic channel claims; each shard owns its
+//     subtree's channel words outright. Root-crossing requests run afterwards
 //     through the Deterministic two-phase sweep. Work stealing
 //     (Config.Steal) lets idle workers claim whole unstarted shards
 //     from other workers' queues under skewed traffic. The grant set is
@@ -39,10 +32,9 @@
 //     before root-crossing ones.
 //
 // Options the parallel sweeps cannot honor (Trace hooks, non-first-fit
-// policies in Deterministic and Shard modes, LeastLoaded in Racy mode,
-// request-major traversal) make Schedule fall back to the sequential
-// scheduler with the same options, so the engine is always safe to
-// install. So do degenerate batches: fewer than two requests, fewer
+// policies, request-major traversal) make Schedule fall back to the
+// sequential scheduler with the same options, so the engine is always
+// safe to install. So do degenerate batches: fewer than two requests, fewer
 // requests than would keep two workers busy, and (for Shard mode) trees
 // whose shape yields fewer than two populated shards.
 package parsched
@@ -67,13 +59,10 @@ const (
 	// Deterministic reproduces the sequential level-major scheduler's
 	// Result bit for bit via two-phase propose/commit levels.
 	Deterministic Mode = iota
-	// Racy lets workers CAS-claim channels directly; fastest, with a
-	// run-to-run nondeterministic (but always conflict-free) grant set.
-	Racy
 	// Shard partitions the batch by level-ℓ subtree: disjoint subtrees
-	// schedule concurrently with plain operations (no barrier, no CAS),
-	// root-crossing requests fall back to the Deterministic two-phase
-	// sweep. Conflict-free and run-to-run deterministic.
+	// schedule concurrently with plain operations (no barrier, no atomic
+	// channel claims), root-crossing requests fall back to the
+	// Deterministic two-phase sweep. Conflict-free and run-to-run deterministic.
 	Shard
 )
 
@@ -82,8 +71,6 @@ func (m Mode) String() string {
 	switch m {
 	case Deterministic:
 		return "deterministic"
-	case Racy:
-		return "racy"
 	case Shard:
 		return "shard"
 	default:
@@ -95,7 +82,7 @@ func (m Mode) String() string {
 type Config struct {
 	// Workers is the number of scheduling goroutines (default: GOMAXPROCS).
 	Workers int
-	// Mode selects Deterministic, Racy, or Shard arbitration.
+	// Mode selects Deterministic or Shard arbitration.
 	Mode Mode
 	// Steal enables work stealing across shard queues (Shard mode only):
 	// a worker that drains its own queue claims whole unstarted shards
@@ -173,17 +160,10 @@ func (e *Engine) parallelizable() bool {
 		return false
 	}
 	switch e.mode {
-	case Deterministic:
+	case Deterministic, Shard:
 		// Phase-two re-arbitration is only provably identical to the
-		// sequential pick for first-fit selection.
-		return e.opts.Policy == core.FirstFit
-	case Racy:
-		// LeastLoaded reads neighbor rows without atomics; first-fit and
-		// random picks act only on the worker's own atomic snapshot.
-		return e.opts.Policy != core.LeastLoaded
-	case Shard:
-		// The per-shard sweep and the root-crossing two-phase fallback
-		// both arbitrate first-fit.
+		// sequential pick for first-fit selection, and the per-shard
+		// sweep arbitrates first-fit too.
 		return e.opts.Policy == core.FirstFit
 	default:
 		return false
@@ -199,14 +179,10 @@ func (e *Engine) Schedule(st *linkstate.State, reqs []core.Request) *core.Result
 	if workers <= 1 || !e.parallelizable() {
 		return e.seq.Schedule(st, reqs)
 	}
-	switch e.mode {
-	case Racy:
-		return e.scheduleRacy(st, reqs, workers)
-	case Shard:
+	if e.mode == Shard {
 		return e.scheduleShard(st, reqs, workers)
-	default:
-		return e.scheduleDeterministic(st, reqs, workers)
 	}
+	return e.scheduleDeterministic(st, reqs, workers)
 }
 
 // ScheduleDeltaInto serves one incremental epoch (sched.Incremental).
@@ -409,131 +385,4 @@ func (tp *twoPhase) run(order []int, maxH int, ops *core.Counters) {
 			}
 		}
 	}
-}
-
-// scheduleRacy fans the batch out to workers that claim channels with
-// lock-free CAS. Each worker owns a contiguous chunk of the processing
-// order, a scratch availability vector, a tried-ports mask, a ports
-// arena, and (for RandomFit) its own RNG.
-func (e *Engine) scheduleRacy(st *linkstate.State, reqs []core.Request, workers int) *core.Result {
-	tree := st.Tree()
-	rng := e.opts.Rand
-	if rng == nil && (e.opts.Policy == core.RandomFit || e.opts.Order == core.ShuffledOrder) {
-		rng = rand.New(rand.NewSource(1))
-	}
-	outs := core.NewOutcomes(tree, reqs)
-	order := core.OrderIndices(tree, reqs, e.opts.Order, rng)
-	chunk := (len(order) + workers - 1) / workers
-	var seedBase int64 = 1
-	if rng != nil {
-		seedBase = rng.Int63()
-	}
-	workerOps := make([]core.Counters, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * chunk
-		if lo >= len(order) {
-			break
-		}
-		hi := min(lo+chunk, len(order))
-		wg.Add(1)
-		go func(wk int, part []int) {
-			defer wg.Done()
-			var wrng *rand.Rand
-			if e.opts.Policy == core.RandomFit {
-				wrng = rand.New(rand.NewSource(seedBase + int64(wk)))
-			}
-			w := tree.Parents()
-			avail := bitvec.New(w)
-			tried := bitvec.New(w)
-			// Per-worker ports arena: one carve per outcome, so routing
-			// appends never allocate.
-			totalH := 0
-			for _, i := range part {
-				totalH += outs[i].H
-			}
-			arena := make([]int, totalH)
-			off := 0
-			for _, i := range part {
-				h := outs[i].H
-				outs[i].Ports = arena[off : off : off+h]
-				off += h
-				e.routeRacy(st, tree, &outs[i], avail, tried, wrng, &workerOps[wk])
-			}
-		}(wk, order[lo:hi])
-	}
-	wg.Wait()
-	var ops core.Counters
-	for i := range workerOps {
-		ops.Add(workerOps[i])
-	}
-	return e.finish(outs, ops)
-}
-
-// routeRacy routes one request request-major with CAS claiming. The tried
-// mask guarantees termination: a port that lost its CAS (or whose forced
-// downward channel lost) is excluded from later retries at that level, so
-// each level performs at most w claim attempts.
-func (e *Engine) routeRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, avail, tried bitvec.Vector, rng *rand.Rand, ops *core.Counters) {
-	if o.H == 0 {
-		o.Granted = true
-		return
-	}
-	var cur topology.RouteCursor
-	cur.Start(tree, o.Src, o.Dst)
-	for h := 0; h < o.H; h++ {
-		tried.ClearAll()
-		ops.Steps++
-		for {
-			st.AvailBothAtomicInto(avail, h, cur.Sigma(), cur.Delta())
-			avail.AndNot(avail, tried)
-			ops.VectorReads += 2
-			ops.VectorANDs++
-			var p int
-			var ok bool
-			if rng != nil {
-				if n := avail.Count(); n > 0 {
-					p, _ = avail.NthSet(rng.Intn(n))
-					ok = true
-				}
-			} else {
-				p, ok = avail.FirstSet()
-			}
-			if !ok {
-				o.FailLevel = h
-				if e.opts.Rollback {
-					e.rollbackRacy(st, tree, o, ops)
-				}
-				return
-			}
-			ops.PortPicks++
-			if !st.TryAllocate(linkstate.Up, h, cur.Sigma(), p) {
-				tried.Set(p)
-				continue
-			}
-			if !st.TryAllocate(linkstate.Down, h, cur.Delta(), p) {
-				st.AtomicRelease(linkstate.Up, h, cur.Sigma(), p)
-				tried.Set(p)
-				continue
-			}
-			ops.Allocs += 2
-			o.Ports = append(o.Ports, p)
-			cur.Advance(p)
-			break
-		}
-	}
-	o.Granted = true
-}
-
-// rollbackRacy returns a failed request's claimed channels with atomic
-// releases (other workers are still claiming concurrently).
-func (e *Engine) rollbackRacy(st *linkstate.State, tree *topology.Tree, o *core.Outcome, ops *core.Counters) {
-	var c topology.RouteCursor
-	c.Start(tree, o.Src, o.Dst)
-	c.Walk(o.Ports, func(h, sigma, delta, p int) {
-		st.AtomicRelease(linkstate.Up, h, sigma, p)
-		st.AtomicRelease(linkstate.Down, h, delta, p)
-		ops.Releases += 2
-	})
-	o.Ports = o.Ports[:0]
 }

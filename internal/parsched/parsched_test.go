@@ -82,45 +82,6 @@ func TestDeterministicBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRacyConflictFree replays every Racy result against a fresh link
-// state (core.Verify) to prove no channel was double-allocated, across
-// shapes and rollback settings, with 8 workers. Running under -race this
-// also proves the CAS arbitration is race-detector clean.
-func TestRacyConflictFree(t *testing.T) {
-	for _, shape := range testShapes {
-		tree := topology.MustNew(shape[0], shape[1], shape[2])
-		for _, rollback := range []bool{false, true} {
-			for round := 0; round < 4; round++ {
-				eng := New(Config{Workers: 8, Mode: Racy, Opts: core.Options{Rollback: rollback}})
-				st := linkstate.New(tree)
-				reqs := randomBatch(tree, 2*tree.Nodes(), int64(round+1))
-				res := eng.Schedule(st, reqs)
-				label := fmt.Sprintf("FT(%d,%d,%d)/rollback=%v/round%d", shape[0], shape[1], shape[2], rollback, round)
-				if err := core.Verify(tree, res); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if held, occ := core.HeldChannels(res), st.OccupiedCount(); held != occ {
-					t.Fatalf("%s: outcomes hold %d channels, state says %d occupied", label, held, occ)
-				}
-			}
-		}
-	}
-}
-
-// TestRacyRandomFit exercises the per-worker RNG path.
-func TestRacyRandomFit(t *testing.T) {
-	tree := topology.MustNew(3, 4, 4)
-	eng := New(Config{Workers: 4, Mode: Racy, Opts: core.Options{Policy: core.RandomFit, Rollback: true}})
-	st := linkstate.New(tree)
-	res := eng.Schedule(st, randomBatch(tree, tree.Nodes(), 7))
-	if err := core.Verify(tree, res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Granted == 0 {
-		t.Fatal("random-fit racy engine granted nothing on a light load")
-	}
-}
-
 // TestFallbackPaths: option combinations the parallel sweeps cannot
 // honor must still schedule correctly (via the sequential fallback).
 func TestFallbackPaths(t *testing.T) {
@@ -128,9 +89,9 @@ func TestFallbackPaths(t *testing.T) {
 	reqs := randomBatch(tree, tree.Nodes(), 3)
 	for _, eng := range []*Engine{
 		New(Config{Workers: 4, Mode: Deterministic, Opts: core.Options{Policy: core.RandomFit}}),
-		New(Config{Workers: 4, Mode: Racy, Opts: core.Options{Policy: core.LeastLoaded}}),
+		New(Config{Workers: 4, Mode: Shard, Opts: core.Options{Policy: core.LeastLoaded}}),
 		New(Config{Workers: 4, Mode: Deterministic, Opts: core.Options{Traversal: core.RequestMajor}}),
-		New(Config{Workers: 1, Mode: Racy}),
+		New(Config{Workers: 1, Mode: Shard}),
 	} {
 		st := linkstate.New(tree)
 		res := eng.Schedule(st, reqs)
@@ -149,11 +110,11 @@ func TestFallbackPaths(t *testing.T) {
 
 // TestEngineIdentity covers Name/Workers/Mode plumbing.
 func TestEngineIdentity(t *testing.T) {
-	e := New(Config{Workers: 6, Mode: Racy})
-	if e.Name() != "parallel-level-wise/racy/w6" {
+	e := New(Config{Workers: 6, Mode: Shard})
+	if e.Name() != "parallel-level-wise/shard/w6" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Workers() != 6 || e.Mode() != Racy {
+	if e.Workers() != 6 || e.Mode() != Shard {
 		t.Fatalf("Workers/Mode = %d/%s", e.Workers(), e.Mode())
 	}
 	if d := New(Config{}); d.Workers() <= 0 || d.Mode() != Deterministic {

@@ -28,7 +28,6 @@ func TestEveryEngineReleasesClean(t *testing.T) {
 		"backtrack,depth=0",
 		"stale,window=4",
 		"parallel,mode=deterministic,workers=4,rollback",
-		"parallel,mode=racy,workers=4,seed=9",
 		"parallel,mode=shard,workers=4,rollback",
 		"parallel,mode=shard,workers=4,steal",
 		"parallel,mode=shard,workers=16,steal,shard-level=1,rollback",
@@ -88,7 +87,7 @@ func TestEngineNamesUnique(t *testing.T) {
 		"level-wise,traversal=request-major", "local", "local-random",
 		"backtrack,depth=1", "backtrack,depth=2", "stale,window=1",
 		"stale,window=2", "optimal", "parallel,workers=2",
-		"parallel,workers=2,mode=racy",
+		"parallel,workers=2,mode=shard",
 	} {
 		name := MustParse(spec).Name()
 		if prev, dup := seen[name]; dup {

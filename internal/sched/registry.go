@@ -202,15 +202,15 @@ var families = []family{
 	{
 		info: Info{
 			Family:  "parallel",
-			Summary: "level-wise fanned across worker goroutines (deterministic, racy, or shard arbitration)",
+			Summary: "level-wise fanned across worker goroutines (deterministic or shard arbitration)",
 			Params: append([]ParamDoc{
-				{"mode", "deterministic (default, bit-identical to level-wise), racy (lock-free CAS), or shard (subtree-sharded, zero coordination)"},
+				{"mode", "deterministic (default, bit-identical to level-wise) or shard (subtree-sharded, zero coordination)"},
 				{"workers", "scheduling goroutines (default 0 = GOMAXPROCS)"},
 				{"steal", "flag: work stealing across shard queues (mode=shard only)"},
 				{"shard-level", "subtree level ℓ the shard mode partitions at (default: one below the root; mode=shard only)"},
 				{"rollback", "flag: release a failed request's partial path"},
 			}, optionParams...),
-			Example: "parallel,mode=racy,workers=8",
+			Example: "parallel,mode=shard,workers=8",
 		},
 		build: func(p *params) (core.Scheduler, error) {
 			opts, err := sharedOpts(p)
@@ -222,12 +222,10 @@ var families = []family{
 			switch v := p.value("mode", "deterministic"); v {
 			case "deterministic":
 				cfg.Mode = parsched.Deterministic
-			case "racy":
-				cfg.Mode = parsched.Racy
 			case "shard":
 				cfg.Mode = parsched.Shard
 			default:
-				return nil, fmt.Errorf("invalid mode=%q (deterministic, racy or shard)", v)
+				return nil, fmt.Errorf("invalid mode=%q (deterministic or shard)", v)
 			}
 			if cfg.Steal = p.flag("steal"); cfg.Steal && cfg.Mode != parsched.Shard {
 				return nil, fmt.Errorf("steal requires mode=shard")

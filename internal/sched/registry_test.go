@@ -24,7 +24,7 @@ func TestParseNames(t *testing.T) {
 		{"backtrack,depth=4", "level-wise/backtrack-4"},
 		{"stale,window=16", "level-wise/stale-16"},
 		{"optimal", "optimal"},
-		{"parallel,mode=racy,workers=8", "parallel-level-wise/racy/w8"},
+		{"parallel,mode=shard,workers=8", "parallel-level-wise/shard/w8"},
 		{"parallel,workers=2", "parallel-level-wise/deterministic/w2"},
 		{" level-wise , rollback ", "level-wise/rollback"}, // whitespace tolerated
 		{"level-wise,incremental", "level-wise/incremental"},
@@ -98,10 +98,12 @@ func TestParseErrorTextExact(t *testing.T) {
 		// values list every valid mode, steal and shard-level are
 		// rejected outside mode=shard, and duplicate keys stay caught
 		// before the factory runs.
-		{"parallel,mode=shardd", `sched: parallel: invalid mode="shardd" (deterministic, racy or shard)`},
+		{"parallel,mode=shardd", `sched: parallel: invalid mode="shardd" (deterministic or shard)`},
+		// Only deterministic and shard are modes: racy is rejected.
+		{"parallel,mode=racy", `sched: parallel: invalid mode="racy" (deterministic or shard)`},
 		{"parallel,mode=shard,mode=shard", `sched: parallel: duplicate parameter "mode"`},
 		{"parallel,steal", `sched: parallel: steal requires mode=shard`},
-		{"parallel,mode=racy,steal", `sched: parallel: steal requires mode=shard`},
+		{"parallel,mode=deterministic,steal", `sched: parallel: steal requires mode=shard`},
 		{"parallel,shard-level=1", `sched: parallel: shard-level requires mode=shard`},
 		{"parallel,mode=shard,shard-level=0", `sched: parallel: invalid shard-level=0 (must be >= 1)`},
 		// Valid-key lists are sorted so the message is deterministic and
@@ -152,11 +154,11 @@ func TestUnwrapExposesConcreteTypes(t *testing.T) {
 	if _, ok := MustParse("level-wise,rollback").Unwrap().(*core.LevelWise); !ok {
 		t.Fatal("level-wise does not unwrap to *core.LevelWise")
 	}
-	pe, ok := MustParse("parallel,workers=4,mode=racy").Unwrap().(*parsched.Engine)
+	pe, ok := MustParse("parallel,workers=4,mode=deterministic").Unwrap().(*parsched.Engine)
 	if !ok {
 		t.Fatal("parallel does not unwrap to *parsched.Engine")
 	}
-	if pe.Workers() != 4 || pe.Mode() != parsched.Racy {
+	if pe.Workers() != 4 || pe.Mode() != parsched.Deterministic {
 		t.Fatalf("parallel engine config: workers=%d mode=%v", pe.Workers(), pe.Mode())
 	}
 	se, ok := MustParse("parallel,mode=shard,workers=6,steal,shard-level=1").Unwrap().(*parsched.Engine)

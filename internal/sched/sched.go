@@ -19,7 +19,7 @@
 //	backtrack,depth=4
 //	stale,window=16
 //	optimal
-//	parallel,mode=racy,workers=8
+//	parallel,mode=shard,workers=8
 //
 // Unknown families and parameters fail with an error naming the nearest
 // valid alternatives. List enumerates every registered family with its

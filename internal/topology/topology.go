@@ -68,18 +68,26 @@ type Tree struct {
 	arith bool
 }
 
+// Size limits New enforces, guards against accidentally huge
+// allocations: every per-level table is sized by the level's link
+// count, so a modest node count with a huge width (FT(2,2,1e8)) must be
+// refused as firmly as a huge node count. maxLevels only binds on
+// m = w = 1 chains: for m >= 2 the node limit caps l at 24, and for
+// w >= 2 the link limit caps it at 25.
+const (
+	maxNodes  = 1 << 24
+	maxLinks  = maxNodes // per link level
+	maxLevels = 64
+)
+
 // New constructs FT(l, m, w). It returns an error for invalid parameters
-// or if the network would exceed maxNodes (a guard against accidentally
-// huge allocations).
+// or if the network would exceed maxNodes nodes, maxLinks links on any
+// level, or maxLevels levels (see Size).
 func New(l, m, w int) (*Tree, error) {
-	spec := digits.Spec{L: l, M: m, W: w}
-	if err := spec.Validate(); err != nil {
+	if _, err := Size(l, m, w); err != nil {
 		return nil, err
 	}
-	const maxNodes = 1 << 24
-	if n := spec.Nodes(); n > maxNodes {
-		return nil, fmt.Errorf("topology: FT(%d,%d,%d) has %d nodes, exceeds limit %d", l, m, w, n, maxNodes)
-	}
+	spec := digits.Spec{L: l, M: m, W: w}
 	kern, err := digits.NewKernel(spec)
 	if err != nil {
 		return nil, err
@@ -129,6 +137,50 @@ func New(l, m, w int) (*Tree, error) {
 		}
 	}
 	return t, nil
+}
+
+// Size returns the total link count of FT(l, m, w), or the error New
+// returns for the shape, without allocating anything. The checks use
+// saturating arithmetic, so shapes whose counts overflow an int are
+// refused too.
+func Size(l, m, w int) (links int, err error) {
+	if err := (digits.Spec{L: l, M: m, W: w}).Validate(); err != nil {
+		return 0, err
+	}
+	if l > maxLevels {
+		return 0, fmt.Errorf("topology: FT(%d,%d,%d) has %d levels, exceeds limit %d", l, m, w, l, maxLevels)
+	}
+	if n := cappedPow(m, l, maxNodes); n > maxNodes {
+		return 0, fmt.Errorf("topology: FT(%d,%d,%d) has more than %d nodes", l, m, w, maxNodes)
+	}
+	for h := 0; h < l-1; h++ {
+		// Link level h has SwitchesAt(h)·w = m^(l-1-h)·w^(h+1) links.
+		n := cappedMul(cappedPow(m, l-1-h, maxLinks), cappedPow(w, h+1, maxLinks), maxLinks)
+		if n > maxLinks {
+			return 0, fmt.Errorf("topology: FT(%d,%d,%d) has more than %d links at level %d", l, m, w, maxLinks, h)
+		}
+		links += n
+	}
+	return links, nil
+}
+
+// cappedMul returns a·b for positive a and b, or limit+1 when the
+// product exceeds limit (without overflowing).
+func cappedMul(a, b, limit int) int {
+	if a > limit/b {
+		return limit + 1
+	}
+	return a * b
+}
+
+// cappedPow returns base^exp for base >= 1, or limit+1 when it exceeds
+// limit.
+func cappedPow(base, exp, limit int) int {
+	r := 1
+	for i := 0; i < exp && r <= limit; i++ {
+		r = cappedMul(r, base, limit)
+	}
+	return r
 }
 
 // MustNew is New that panics on error; for tests and examples with known-

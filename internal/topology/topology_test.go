@@ -5,18 +5,53 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/digits"
 )
 
+// TestNewRejectsBadParams: invalid shapes, and shapes whose tables
+// would take gigabytes — too many nodes, a huge width within the node
+// limit, counts that overflow an int, a degenerate tree with absurdly
+// many levels — are refused before anything is allocated.
 func TestNewRejectsBadParams(t *testing.T) {
-	for _, c := range [][3]int{{0, 4, 4}, {3, 0, 4}, {3, 4, 0}, {-1, 2, 2}} {
-		if _, err := New(c[0], c[1], c[2]); err == nil {
-			t.Errorf("New(%v) succeeded, want error", c)
+	for _, c := range []struct {
+		l, m, w int
+		want    string // error substring; empty means any error
+	}{
+		{0, 4, 4, ""},
+		{3, 0, 4, ""},
+		{3, 4, 0, ""},
+		{-1, 2, 2, ""},
+		{30, 2, 2, "more than 16777216 nodes"},
+		{64, 2, 2, "more than 16777216 nodes"}, // 2^64 wraps to 0 in an int
+		{2, 2, 100000000, "FT(2,2,100000000) has more than 16777216 links at level 0"},
+		{2, 2, 1 << 62, "links at level 0"},
+		{3, 2, 4096, "FT(3,2,4096) has more than 16777216 links at level 1"},
+		{1000000, 1, 1, "FT(1000000,1,1) has 1000000 levels, exceeds limit 64"},
+	} {
+		start := time.Now()
+		_, err := New(c.l, c.m, c.w)
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("New(%d,%d,%d) took %s, want < 100ms", c.l, c.m, c.w, elapsed)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New(%d,%d,%d) error %v, want %q", c.l, c.m, c.w, err, c.want)
 		}
 	}
-	if _, err := New(30, 2, 2); err == nil {
-		t.Error("New(30,2,2) should exceed the node limit")
+}
+
+// TestSizeMatchesTotalLinks: Size's allocation-free count agrees with
+// the built tree.
+func TestSizeMatchesTotalLinks(t *testing.T) {
+	for _, c := range [][3]int{{1, 4, 4}, {2, 4, 4}, {3, 4, 2}, {4, 3, 3}, {3, 1, 5}, {4, 16, 16}} {
+		links, err := Size(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatalf("Size%v: %v", c, err)
+		}
+		if want := MustNew(c[0], c[1], c[2]).TotalLinks(); links != want {
+			t.Errorf("Size%v = %d links, built tree has %d", c, links, want)
+		}
 	}
 }
 

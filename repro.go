@@ -46,7 +46,7 @@ func NewLinkState(tree *FatTree) *LinkState { return linkstate.New(tree) }
 
 // NewScheduler builds a scheduler from an internal/sched registry spec,
 // e.g. "level-wise,policy=random,rollback", "backtrack,depth=4" or
-// "parallel,mode=racy,workers=8". Unknown families and parameters are
+// "parallel,mode=shard,workers=8". Unknown families and parameters are
 // reported with the nearest valid alternatives. The named constructors
 // below are shorthands for the most common specs.
 func NewScheduler(spec string) (Scheduler, error) { return sched.Parse(spec) }

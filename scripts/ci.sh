@@ -107,6 +107,13 @@ go test -race -count=2 -run 'TestDeliveryPipelineModes|TestCancelRacesPooledTick
 # of the same name.
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/sched
 
+# Config-loader fuzz smoke: a few seconds of fresh inputs on top of the
+# checked-in corpus (an fttopo gen output, a width whose link tables
+# would take gigabytes, the removed racy mode, a removed per-plane key,
+# a bad duration, a negative weight): Load must never panic, an
+# accepted config must Build, and Write→Load must round-trip it.
+go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 5s ./internal/federation
+
 # Histogram fuzz smoke: a few seconds of fresh inputs on top of the
 # checked-in corpus (NaN, ±Inf, zero, negative, subnormal and huge
 # samples): Record must never panic, N must count every finite sample,
